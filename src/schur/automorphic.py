@@ -63,9 +63,7 @@ def unit_group(n: int) -> UnitGroup:
         raise ValueError(f"modulus must be positive, got {n}")
     if n == 1:
         return UnitGroup(1, (0,))
-    units = tuple(x for x in range(1, n) if gcd(x, n) == 1)
-    assert len(units) == euler_phi(n)
-    return UnitGroup(n, units)
+    return UnitGroup(n, tuple(x for x in range(1, n) if gcd(x, n) == 1))
 
 
 def _mul_closure(n: int, gens: Iterable[int]) -> frozenset[int]:
@@ -122,28 +120,23 @@ def all_subgroups(u: UnitGroup) -> tuple[UnitSubgroup, ...]:
 def orbit_partition(h: UnitSubgroup) -> SchurPartition:
     """Partition of Z_n into orbits of x -> u*x for u in the subgroup."""
     n = h.n
-    if n == 1:
-        return SchurPartition.from_sets(1, [{0}])
-    seen = [False] * n
-    classes = []
+    labels = [-1] * n
     for x in range(n):
-        if seen[x]:
-            continue
-        orbit = {(x * u) % n for u in h.elements}
-        for y in orbit:
-            seen[y] = True
-        classes.append(orbit)
-    return SchurPartition.from_sets(n, classes)
+        if labels[x] < 0:
+            for u in h.elements:
+                labels[(x * u) % n] = x
+    return SchurPartition(tuple(labels))
 
 
 @lru_cache(maxsize=None)
 def automorphic_rings(n: int) -> tuple[SchurPartition, ...]:
-    """All automorphic Schur rings over Z_n, one per subgroup of the units."""
-    rings = [orbit_partition(h) for h in all_subgroups(unit_group(n))]
-    distinct = sorted(set(rings), key=SchurPartition.sort_key)
-    # distinct subgroups give distinct orbit partitions
-    assert len(distinct) == len(rings)
-    return tuple(distinct)
+    """All automorphic Schur rings over Z_n, one per subgroup of the units.
+
+    The orbit of 1 under a subgroup is the subgroup itself, so distinct
+    subgroups give distinct partitions.
+    """
+    rings = map(orbit_partition, all_subgroups(unit_group(n)))
+    return tuple(sorted(rings, key=SchurPartition.sort_key))
 
 
 def subgroup_lattice_size(r: int, k: int, ell: int) -> int:

@@ -70,7 +70,7 @@ def brute_force_schur_rings(
 
     def extend(assigned: int, classes: list[tuple[int, ...]], blocks: list[int]) -> None:
         if assigned == full:
-            part = SchurPartition.from_sets(n, [set(c) for c in classes])
+            part = SchurPartition.from_sets(n, classes)
             if check_schur_axioms(part) is None:
                 results.append(part)
             return

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error. All output is
 deterministic; diagnostics go to stderr. The brute-force search limit can be
-raised with the SCHUR_ORACLE_LIMIT environment variable (default 14).
+raised with the SCHUR_ORACLE_LIMIT environment variable (default 14). A value
+that is not a positive integer is a usage error: `count --method oracle` and
+`verify` then exit 2 before enumerating anything.
 """
 
 from __future__ import annotations
@@ -29,14 +31,22 @@ from schur.formulas import (
 ORACLE_LIMIT_ENV = "SCHUR_ORACLE_LIMIT"
 
 
-def _oracle_limit() -> int:
+def _oracle_limit() -> int | None:
+    """The brute-force limit, or None after reporting an invalid setting."""
     raw = os.environ.get(ORACLE_LIMIT_ENV)
     if raw is None:
         return DEFAULT_SEARCH_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        return DEFAULT_SEARCH_LIMIT
+        limit = 0
+    if limit < 1:
+        print(
+            f"error: {ORACLE_LIMIT_ENV} must be a positive integer, got {raw!r}",
+            file=sys.stderr,
+        )
+        return None
+    return limit
 
 
 def _formula_count(n: int) -> int | None:
@@ -65,6 +75,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
             return 2
     elif method == "oracle":
         limit = _oracle_limit()
+        if limit is None:
+            return 2
         if n > limit:
             print(
                 f"error: n={n} exceeds the oracle limit {limit} "
@@ -131,6 +143,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
+    limit = _oracle_limit()
+    if limit is None:
+        return 2
     checks: list[tuple[str, bool | None, str]] = []  # (name, ok/None=skip, detail)
     result = enumerate_rings(n)
     omega = result.omega
@@ -184,7 +199,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         )
 
-    limit = _oracle_limit()
     if n <= limit or args.deep:
         if n > limit:
             print(

@@ -50,35 +50,26 @@ def trivial_ring(n: int) -> SchurPartition:
     """The span of the identity and everything else: classes {0} and Z_n - {0}."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    if n == 1:
-        return SchurPartition.from_sets(1, [{0}])
-    return SchurPartition.from_sets(n, [{0}, set(range(1, n))])
+    return SchurPartition((0,) + (1,) * (n - 1))
 
 
 def discrete_ring(n: int) -> SchurPartition:
     """The full group algebra: every residue is its own class."""
-    return SchurPartition.from_sets(n, [{x} for x in range(n)])
+    return SchurPartition(tuple(range(n)))
 
 
 def direct_product(s: SchurPartition, t: SchurPartition) -> SchurPartition:
     """Tensor product of rings over coprime moduli, realized on Z_{s.n * t.n}.
 
-    Classes are CRT images of pairs of classes; restricting the result to
-    either factor's subgroup recovers that factor.
+    Residue x lies in the class of the pair (class of x mod a in S, class of
+    x mod b in T); by the CRT these are the images of pairs of classes, and
+    restricting the result to either factor's subgroup recovers that factor.
     """
     a, b = s.n, t.n
     if gcd(a, b) != 1:
         raise ValueError(f"moduli must be coprime, got {a} and {b}")
-    n = a * b
-    # x = crt(c, d) is the unique residue with x = c mod a and x = d mod b
-    ca = b * pow(b, -1, a) if a > 1 else 0
-    cb = a * pow(a, -1, b) if b > 1 else 0
-    sets = [
-        frozenset((x * ca + y * cb) % n for x in c.members for y in d.members)
-        for c in s.classes
-        for d in t.classes
-    ]
-    return SchurPartition.from_sets(n, sets)
+    sl, tl = s.labels, t.labels
+    return SchurPartition(tuple(sl[x % a] * b + tl[x % b] for x in range(a * b)))
 
 
 def wedge_compatible(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> bool:
@@ -112,29 +103,11 @@ def wedge_product(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> S
         )
     m = n // k
     step_h = n // h
-    sets = [frozenset(x * step_h for x in c.members) for c in s.classes]
-    # inside Z_m, the image of H is the order-(h/k) subgroup: multiples of n/h
-    image_of_h = frozenset(range(0, m, step_h))
-    for d in t.classes:
-        if d.members <= image_of_h:
-            continue
-        sets.append(frozenset(x + j * m for x in d.members for j in range(k)))
-    built = SchurPartition.from_sets(n, sets)
-    assert built == _wedge_by_refinement(s, t, u, n)
-    return built
-
-
-def _wedge_by_refinement(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> SchurPartition:
-    """Common refinement of (S extended by one off-H block) and pulled-back T."""
-    m = n // u.k
-    step_h = n // u.h
-    groups: dict[tuple[int, int], set[int]] = {}
-    for x in range(n):
-        inside = x % step_h == 0
-        left = s.labels[x // step_h] if inside else -1
-        right = t.labels[x % m]
-        groups.setdefault((left, right), set()).add(x)
-    return SchurPartition.from_sets(n, groups.values())
+    # outside H a residue takes the class of its image in T, offset past
+    # S's labels; inside H, the multiples of n/h, it takes its class in S
+    labels = [h + t.labels[x % m] for x in range(n)]
+    labels[::step_h] = s.labels
+    return SchurPartition(tuple(labels))
 
 
 def find_wedge_section(p: SchurPartition) -> Section | None:
@@ -146,6 +119,7 @@ def find_wedge_section(p: SchurPartition) -> Section | None:
     ascending, then h ascending.
     """
     n = p.n
+    labels = p.labels
     subs = s_subgroups(p)
     for k in subs:
         if k == 1 or k == n:
@@ -155,14 +129,10 @@ def find_wedge_section(p: SchurPartition) -> Section | None:
             if h < k or h >= n or h % k != 0:
                 continue
             step_h = n // h
-            splits = True
-            for c in p.classes:
-                if min(c.members) % step_h == 0:
-                    continue  # class lies inside the order-h subgroup
-                if any((x + step) % n not in c.members for x in c.members):
-                    splits = False
-                    break
-            if splits:
+            # the order-h subgroup is a union of classes, so the classes
+            # outside it are unions of K-cosets exactly when every residue
+            # outside it shares its class with its translate by n/k
+            if all(labels[x] == labels[(x + step) % n] for x in range(n) if x % step_h):
                 return Section(k, h)
     return None
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic in the integer group ring of Z_n and Schur partitions.
+"""Schur partitions of Z_n, the Schur axiom checker, restriction and quotient.
 
 The cyclic group of order n is written additively as the residues
 {0, ..., n-1}. A partition of those residues determines a candidate Schur
@@ -16,11 +16,8 @@ from typing import Iterable
 from schur.formulas import divisors
 
 __all__ = [
-    "GroupSubset",
-    "AlgebraElement",
     "SchurPartition",
     "AxiomViolation",
-    "multiply",
     "check_schur_axioms",
     "is_schur_partition",
     "s_subgroups",
@@ -31,140 +28,93 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupSubset:
-    """A subset of Z_n; stands in for the simple quantity it spans."""
-
-    n: int
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"modulus must be positive, got {self.n}")
-        members = frozenset(int(x) for x in self.members)
-        object.__setattr__(self, "members", members)
-        if any(x < 0 or x >= self.n for x in members):
-            raise ValueError(f"members out of range for Z_{self.n}: {sorted(members)}")
-
-    def star(self) -> "GroupSubset":
-        """The set of additive inverses {-x mod n : x in self}."""
-        return GroupSubset(self.n, frozenset((self.n - x) % self.n for x in self.members))
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def __iter__(self):
-        return iter(self.sorted_members())
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(x) for x in self.sorted_members()) + "}"
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """A group-ring element with non-negative integer coefficients."""
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        if any(c < 0 for c in coeffs):
-            raise ValueError("coefficients must be non-negative")
-
-    def __getitem__(self, g: int) -> int:
-        return self.coeffs[g % self.n]
-
-    def mass(self) -> int:
-        return sum(self.coeffs)
-
-
-def multiply(c: GroupSubset, d: GroupSubset) -> AlgebraElement:
-    """Product of two simple quantities: the additive convolution of C and D.
-
-    coefficient[g] counts pairs (x, y) in C x D with x + y = g mod n, so the
-    total coefficient mass is |C| * |D|.
-    """
-    if c.n != d.n:
-        raise ValueError(f"modulus mismatch: {c.n} vs {d.n}")
-    n = c.n
-    acc = [0] * n
-    for x in c.members:
-        for y in d.members:
-            acc[(x + y) % n] += 1
-    return AlgebraElement(n, tuple(acc))
+def _braced(members: Iterable[object]) -> str:
+    return "{" + ",".join(map(str, members)) + "}"
 
 
 @dataclass(frozen=True)
 class SchurPartition:
-    """An ordered partition of Z_n, the datum that pins down a Schur ring.
+    """A partition of Z_n, the datum that pins down a Schur ring.
 
-    Classes are stored canonically: members ascending inside a class, classes
-    ordered by least member, so equal partitions compare and hash equal.
+    labels[x] is the index of the class containing residue x. The
+    constructor accepts any length-n sequence of hashable per-residue keys
+    and renumbers them by first occurrence, so classes are numbered by least
+    member and equal partitions compare and hash equal. A label vector is a
+    partition by construction; sets of residues from outside go through
+    from_sets, which validates them.
     """
 
-    n: int
-    classes: tuple[GroupSubset, ...]
+    labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.n
-        cls: list[GroupSubset] = []
-        for c in self.classes:
-            if isinstance(c, GroupSubset):
-                if c.n != n:
-                    raise ValueError(f"class modulus {c.n} differs from partition modulus {n}")
-                cls.append(c)
-            else:
-                cls.append(GroupSubset(n, frozenset(c)))
-        if any(not c.members for c in cls):
-            raise ValueError("empty class")
-        cls.sort(key=lambda c: min(c.members))
-        seen = 0
-        count = 0
-        for c in cls:
-            for x in c.members:
-                bit = 1 << x
-                if seen & bit:
-                    raise ValueError(f"classes overlap at {x}")
-                seen |= bit
-                count += 1
-        if count != n:
-            raise ValueError(f"classes cover {count} of {n} residues")
-        object.__setattr__(self, "classes", tuple(cls))
+        if not self.labels:
+            raise ValueError("a partition of Z_n needs n >= 1 residues")
+        ids: dict = {}
+        object.__setattr__(
+            self, "labels", tuple([ids.setdefault(key, len(ids)) for key in self.labels])
+        )
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SchurPartition":
-        return cls(n, tuple(GroupSubset(n, frozenset(s)) for s in sets))
+        """Partition of Z_n with the given classes, in any order.
+
+        Rejects a class that is empty or has a member outside 0..n-1, classes
+        that overlap, and classes that do not cover Z_n.
+        """
+        if n < 1:
+            raise ValueError(f"modulus must be positive, got {n}")
+        labels = [-1] * n
+        for i, s in enumerate(sets):
+            members = {int(x) for x in s}
+            if not members:
+                raise ValueError("empty class")
+            for x in members:
+                if not 0 <= x < n:
+                    raise ValueError(f"members out of range for Z_{n}: {sorted(members)}")
+                if labels[x] >= 0:
+                    raise ValueError(f"classes overlap at {x}")
+                labels[x] = i
+        missing = labels.count(-1)
+        if missing:
+            raise ValueError(f"classes cover {n - missing} of {n} residues")
+        return cls(tuple(labels))
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
 
     @cached_property
-    def labels(self) -> tuple[int, ...]:
-        """labels[x] is the index of the class containing x."""
-        lab = [0] * self.n
-        for i, c in enumerate(self.classes):
-            for x in c.members:
-                lab[x] = i
-        return tuple(lab)
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes as ascending member tuples, ordered by least member."""
+        out: list[list[int]] = []
+        for x, i in enumerate(self.labels):
+            if i == len(out):
+                out.append([x])
+            else:
+                out[i].append(x)
+        return tuple(map(tuple, out))
 
-    def class_of(self, x: int) -> GroupSubset:
-        return self.classes[self.labels[x % self.n]]
+    @cached_property
+    def _subgroup_orders(self) -> tuple[int, ...]:
+        # the order-d subgroup is a union of classes exactly when the classes
+        # it meets have sizes adding up to d
+        n = self.n
+        labels = self.labels
+        sizes = [len(c) for c in self.classes]
+        return tuple(
+            d
+            for d in divisors(n)
+            if sum(sizes[i] for i in {labels[x] for x in range(0, n, n // d)}) == d
+        )
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c.sorted_members() for c in self.classes)
+        return self.classes
 
     def to_text(self) -> str:
-        return "{" + ",".join(str(c) for c in self.classes) + "}"
+        return _braced(map(_braced, self.classes))
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "classes": [list(c.sorted_members()) for c in self.classes]}
+        return {"n": self.n, "classes": [list(c) for c in self.classes]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SchurPartition":
@@ -176,17 +126,14 @@ class SchurPartition:
 
 def canonical_encode(p: SchurPartition) -> bytes:
     """Deterministic byte encoding, injective on partitions."""
-    body = ";".join(",".join(str(x) for x in c.sorted_members()) for c in p.classes)
+    body = ";".join(",".join(map(str, c)) for c in p.classes)
     return f"{p.n}|{body}".encode("ascii")
 
 
 def canonical_decode(data: bytes) -> SchurPartition:
     """Inverse of canonical_encode."""
     head, _, body = data.decode("ascii").partition("|")
-    sets = [
-        frozenset(int(x) for x in chunk.split(","))
-        for chunk in body.split(";")
-    ]
+    sets = [chunk.split(",") for chunk in body.split(";")]
     return SchurPartition.from_sets(int(head), sets)
 
 
@@ -210,15 +157,16 @@ def check_schur_axioms(p: SchurPartition) -> AxiomViolation | None:
     many classes there are.
     """
     n = p.n
-    if p.class_of(0).members != frozenset({0}):
-        return AxiomViolation(1, f"class containing 0 is {p.class_of(0)}, not {{0}}")
-    class_sets = {c.members for c in p.classes}
-    for c in p.classes:
-        star = frozenset((n - x) % n for x in c.members)
-        if star not in class_sets:
-            return AxiomViolation(2, f"{c}* = {GroupSubset(n, star)} is not a class")
     labels = p.labels
-    classes = [c.sorted_members() for c in p.classes]
+    classes = p.classes
+    if len(classes[0]) != 1:
+        return AxiomViolation(1, f"class containing 0 is {_braced(classes[0])}, not {{0}}")
+    for c in classes:
+        star = labels[-c[0] % n]
+        if len(classes[star]) != len(c) or any(labels[-x % n] != star for x in c):
+            return AxiomViolation(
+                2, f"{_braced(c)}* = {_braced(sorted(-x % n for x in c))} is not a class"
+            )
     sizes = [len(c) for c in classes]
     for i in range(len(classes)):
         for j in range(i, len(classes)):
@@ -249,8 +197,8 @@ def check_schur_axioms(p: SchurPartition) -> AxiomViolation | None:
             if bad >= 0:
                 return AxiomViolation(
                     3,
-                    f"coefficients of {p.classes[i]}*{p.classes[j]} are not constant "
-                    f"on class {p.classes[bad]}",
+                    f"coefficients of {_braced(classes[i])}*{_braced(classes[j])} are not "
+                    f"constant on class {_braced(classes[bad])}",
                 )
     return None
 
@@ -262,30 +210,17 @@ def is_schur_partition(p: SchurPartition) -> bool:
 def s_subgroups(p: SchurPartition) -> tuple[int, ...]:
     """Orders d of subgroups of Z_n that are unions of classes of p.
 
-    Always contains 1 and n for a partition satisfying axiom 1.
+    Always contains 1 and n for a partition satisfying axiom 1. Computed
+    once per partition.
     """
-    n = p.n
-    labels = p.labels
-    out = []
-    for d in divisors(n):
-        step = n // d
-        subgroup = frozenset(range(0, n, step))
-        if all(p.classes[labels[x]].members <= subgroup for x in subgroup):
-            out.append(d)
-    return tuple(out)
+    return p._subgroup_orders
 
 
 def restrict(p: SchurPartition, d: int) -> SchurPartition:
     """The subring partition living on the order-d subgroup, relabelled to Z_d."""
     if d not in s_subgroups(p):
         raise ValueError(f"order-{d} subgroup is not an S-subgroup of the partition")
-    step = p.n // d
-    sets = [
-        frozenset(x // step for x in c.members)
-        for c in p.classes
-        if min(c.members) % step == 0
-    ]
-    return SchurPartition.from_sets(d, sets)
+    return SchurPartition(p.labels[:: p.n // d])
 
 
 def quotient(p: SchurPartition, k: int) -> SchurPartition:
@@ -297,9 +232,13 @@ def quotient(p: SchurPartition, k: int) -> SchurPartition:
     if k not in s_subgroups(p):
         raise ValueError(f"order-{k} subgroup is not an S-subgroup of the partition")
     m = p.n // k
-    images: dict[frozenset[int], None] = {}
-    for c in p.classes:
-        images[frozenset(x % m for x in c.members)] = None
-    if sum(len(img) for img in images) != m:
+    images = dict.fromkeys(frozenset(x % m for x in c) for c in p.classes)
+    # the images cover Z_m, so they are pairwise disjoint exactly when their
+    # sizes add up to m
+    if sum(map(len, images)) != m:
         raise ValueError(f"class images under x -> x mod {m} are not equal-or-disjoint")
-    return SchurPartition.from_sets(m, images)
+    labels = [0] * m
+    for i, image in enumerate(images):
+        for r in image:
+            labels[r] = i
+    return SchurPartition(tuple(labels))

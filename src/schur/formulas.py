@@ -190,6 +190,14 @@ def count_semiprime(p: int, q: int) -> int:
     return lattice + wedges + 1
 
 
+def _divide_exactly(a: int, b: int) -> int:
+    """a / b for a division the closed forms guarantee to be exact."""
+    value, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"{a} is not divisible by {b}")
+    return value
+
+
 def count_semiprime_split(p: int, q: int, *, totient_coefficient: bool = True) -> int:
     """Semiprime count via the 2-adic shapes p = 2**k*a + 1, q = 2**l*b + 1.
 
@@ -210,9 +218,7 @@ def count_semiprime_split(p: int, q: int, *, totient_coefficient: bool = True) -
     for j in range(1, min(k, ell) + 1):
         coeff = euler_phi(2**j) if totient_coefficient else 2**j
         bracket += coeff * (k - j + 1) * (ell - j + 1)
-    scale, rem = divmod(x * y, (k + 1) * (ell + 1))
-    assert rem == 0
-    return bracket * scale + 1
+    return bracket * _divide_exactly(x * y, (k + 1) * (ell + 1)) + 1
 
 
 def count_2p(p: int) -> int:
@@ -230,9 +236,7 @@ def count_3p(p: int) -> int:
     if prof is None:
         # p = 2 reduces to the 2p = 6 case counted the other way around
         return count_2p(3)
-    value, rem = divmod((7 * prof.k + 6) * prof.x, prof.k + 1)
-    assert rem == 0
-    return value + 1
+    return _divide_exactly((7 * prof.k + 6) * prof.x, prof.k + 1) + 1
 
 
 def count_5p(p: int) -> int:
@@ -242,14 +246,10 @@ def count_5p(p: int) -> int:
     if p == 2:
         return count_2p(5)
     prof = FourPProfile.from_prime(p)
-    value, rem = divmod((13 * prof.k + 7) * prof.x, prof.k + 1)
-    assert rem == 0
-    return value + 1
+    return _divide_exactly((13 * prof.k + 7) * prof.x, prof.k + 1) + 1
 
 
 def count_4p(p: int) -> int:
     """Number of Schur rings over Z_4p: ((15k + 14)/(k + 1)) * x + 3."""
     prof = FourPProfile.from_prime(p)
-    value, rem = divmod((15 * prof.k + 14) * prof.x, prof.k + 1)
-    assert rem == 0
-    return value + 3
+    return _divide_exactly((15 * prof.k + 14) * prof.x, prof.k + 1) + 3

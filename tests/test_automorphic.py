@@ -63,12 +63,7 @@ def test_orbit_partition_examples():
     assert orbit_partition(UnitSubgroup(7, (1,))) == discrete_ring(7)
     assert orbit_partition(UnitSubgroup(7, tuple(range(1, 7)))) == trivial_ring(7)
     plus_minus = orbit_partition(UnitSubgroup(7, (1, 6)))
-    assert [c.sorted_members() for c in plus_minus.classes] == [
-        (0,),
-        (1, 6),
-        (2, 5),
-        (3, 4),
-    ]
+    assert plus_minus.classes == ((0,), (1, 6), (2, 5), (3, 4))
 
 
 def test_orbit_partitions_satisfy_axioms_up_to_100():
@@ -82,6 +77,10 @@ def test_orbit_partition_injective_on_subgroups():
         subs = all_subgroups(unit_group(n))
         rings = {orbit_partition(h) for h in subs}
         assert len(rings) == len(subs), n
+        # the reason: the orbit of 1 is the subgroup itself
+        if n > 1:
+            for h in subs:
+                assert orbit_partition(h).classes[1] == h.elements
 
 
 def test_larger_subgroup_gives_coarser_partition():
@@ -93,15 +92,14 @@ def test_larger_subgroup_gives_coarser_partition():
                     fine = orbit_partition(h)
                     coarse = orbit_partition(k)
                     for c in fine.classes:
-                        target = coarse.class_of(min(c.members))
-                        assert c.members <= target.members
+                        assert len({coarse.labels[x] for x in c}) == 1
 
 
 def test_automorphic_rings_counts():
     assert len(automorphic_rings(21)) == 10
     assert len(automorphic_rings(3)) == 2
-    for n in range(1, 60):
-        assert len(automorphic_rings(n)) == len(all_subgroups(unit_group(n)))
+    for n in range(1, 101):
+        assert len(set(automorphic_rings(n))) == len(all_subgroups(unit_group(n))), n
 
 
 def test_subgroup_lattice_size_examples():

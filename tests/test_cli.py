@@ -154,3 +154,16 @@ def test_oracle_limit_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SCHUR_ORACLE_LIMIT", "15")
     code, out, _ = run(capsys, "count", "15", "--method", "oracle")
     assert code == 0 and out == "Omega(15) = 21 [oracle]\n"
+
+
+def test_oracle_limit_env_invalid_is_usage_error(capsys, monkeypatch):
+    def never(n):
+        raise AssertionError("enumeration started before the limit was checked")
+
+    monkeypatch.setattr("schur.cli.enumerate_rings", never)
+    for raw in ("abc", "", "1.5", "0", "-3"):
+        monkeypatch.setenv("SCHUR_ORACLE_LIMIT", raw)
+        for argv in (("count", "12", "--method", "oracle"), ("verify", "12")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", (raw, argv)
+            assert "SCHUR_ORACLE_LIMIT" in err and "positive integer" in err

@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 
 from schur.automorphic import orbit_partition, unit_group, UnitSubgroup
@@ -11,81 +9,46 @@ from schur.constructions import (
     wedge_product,
 )
 from schur.core import (
-    GroupSubset,
     SchurPartition,
     canonical_encode,
     check_schur_axioms,
     is_schur_partition,
-    multiply,
     quotient,
     restrict,
     s_subgroups,
 )
 
 
-def subset(n, members):
-    return GroupSubset(n, frozenset(members))
-
-
 def test_star_examples():
-    assert subset(7, {1, 2, 4}).star() == subset(7, {3, 5, 6})
-    assert subset(6, {0}).star() == subset(6, {0})
-    assert subset(4, {1, 3}).star() == subset(4, {1, 3})
-
-
-def test_star_is_involutive():
-    for n in range(1, 9):
-        for mask in range(1 << n):
-            members = {i for i in range(n) if (mask >> i) & 1}
-            c = subset(n, members)
-            assert c.star().star() == c
-
-
-def test_subset_validation():
-    with pytest.raises(ValueError):
-        subset(5, {5})
-    with pytest.raises(ValueError):
-        subset(0, set())
-
-
-def test_multiply_examples():
-    assert multiply(subset(3, {1, 2}), subset(3, {1, 2})).coeffs == (2, 1, 1)
-    out = multiply(subset(6, {0}), subset(6, {1, 5}))
-    assert out.coeffs == (0, 1, 0, 0, 0, 1)
-    assert multiply(subset(4, {1, 3}), subset(4, {1, 3})).coeffs == (2, 0, 2, 0)
-
-
-def test_multiply_modulus_mismatch():
-    with pytest.raises(ValueError):
-        multiply(subset(4, {1}), subset(5, {1}))
-
-
-def test_multiply_commutative_with_full_mass():
-    n = 8
-    subsets = [subset(n, {1, 3}), subset(n, {2, 4, 5}), subset(n, {0, 7}), subset(n, {6})]
-    for c, d in combinations(subsets, 2):
-        assert multiply(c, d) == multiply(d, c)
-        assert multiply(c, d).mass() == len(c) * len(d)
+    # the checker names a class and its star {-x mod n} when the star is not a class
+    violation = check_schur_axioms(SchurPartition.from_sets(7, [{0}, {1, 2, 4}, {3}, {5, 6}]))
+    assert str(violation) == "axiom 2: {1,2,4}* = {3,5,6} is not a class"
+    violation = check_schur_axioms(SchurPartition.from_sets(6, [{0}, {1, 2}, {3, 4, 5}]))
+    assert str(violation) == "axiom 2: {1,2}* = {4,5} is not a class"
+    # {1,2,4}* = {3,5,6} in Z_7; {1,3} and {0} are their own stars
+    assert is_schur_partition(SchurPartition.from_sets(7, [{0}, {1, 2, 4}, {3, 5, 6}]))
+    assert is_schur_partition(SchurPartition.from_sets(4, [{0}, {1, 3}, {2}]))
 
 
 def test_axiom_checker_accepts_and_rejects():
     assert is_schur_partition(SchurPartition.from_sets(4, [{0}, {2}, {1, 3}]))
     violation = check_schur_axioms(SchurPartition.from_sets(4, [{0}, {1}, {2, 3}]))
-    assert violation is not None and violation.axiom == 2
-    assert "{1}" in violation.message
+    assert str(violation) == "axiom 2: {1}* = {3} is not a class"
     assert is_schur_partition(trivial_ring(6))
 
 
 def test_axiom_one_failure():
     violation = check_schur_axioms(SchurPartition.from_sets(4, [{0, 2}, {1, 3}]))
-    assert violation is not None and violation.axiom == 1
+    assert str(violation) == "axiom 1: class containing 0 is {0,2}, not {0}"
 
 
 def test_axiom_three_failure():
     # {1,2} is star-closed in Z_5 ({1,2}* = {3,4} is a class) but
     # {1,2}*{1,2} has coefficients 1 at 2 and 4 yet 2 at 3
     violation = check_schur_axioms(SchurPartition.from_sets(5, [{0}, {1, 2}, {3, 4}]))
-    assert violation is not None and violation.axiom == 3
+    assert str(violation) == (
+        "axiom 3: coefficients of {1,2}*{1,2} are not constant on class {3,4}"
+    )
 
 
 def test_partition_validation():
@@ -95,13 +58,20 @@ def test_partition_validation():
         SchurPartition.from_sets(4, [{0}, {1}])
     with pytest.raises(ValueError):
         SchurPartition.from_sets(4, [{0}, set(), {1, 2, 3}])
+    with pytest.raises(ValueError):
+        SchurPartition.from_sets(5, [{0}, {1, 2, 3, 4, 5}])
+    with pytest.raises(ValueError):
+        SchurPartition.from_sets(0, [])
 
 
 def test_partition_canonical_order():
     p = SchurPartition.from_sets(6, [{3, 4}, {0}, {1, 2, 5}])
-    assert [c.sorted_members() for c in p.classes] == [(0,), (1, 2, 5), (3, 4)]
+    assert p.classes == ((0,), (1, 2, 5), (3, 4))
+    assert p.labels == (0, 1, 1, 2, 2, 1)
     q = SchurPartition.from_sets(6, [{1, 2, 5}, {4, 3}, {0}])
     assert p == q and hash(p) == hash(q)
+    # any per-residue keys are renumbered by first occurrence
+    assert SchurPartition(("z", "a", "a", "q", "q", "a")) == p
 
 
 def test_s_subgroups_examples():

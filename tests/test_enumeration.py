@@ -136,7 +136,7 @@ def test_enumeration_scales_past_acceptance_range():
     # this generator, the rest is structural sanity
     result = enumerate_rings(64)
     assert result.omega == 657
-    assert all(is_schur_partition(r) for r in result.rings[:20])
+    assert all(is_schur_partition(r) for r in result.rings)
     assert sum(cnt for _, cnt in result.core_census) == result.omega
 
 

@@ -172,3 +172,11 @@ def test_all_formula_outputs_positive():
         if p > 2:
             assert count_2p(p) > 0
             assert count_4p(p) > 0
+
+
+def test_inexact_division_raises():
+    from schur.formulas import _divide_exactly
+
+    assert _divide_exactly(12, 4) == 3
+    with pytest.raises(ArithmeticError):
+        _divide_exactly(13, 4)

@@ -1,0 +1,20 @@
+"""The package enforces its invariants with exceptions, never `assert`,
+which `python -O` strips."""
+
+import ast
+from pathlib import Path
+
+import schur
+
+SOURCES = sorted(Path(schur.__file__).parent.glob("*.py"))
+
+
+def test_package_has_no_assert_statements():
+    assert SOURCES
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
