@@ -58,10 +58,16 @@ def test_partition_validation():
         SchurPartition.from_sets(4, [{0}, {1}])
     with pytest.raises(ValueError):
         SchurPartition.from_sets(4, [{0}, set(), {1, 2, 3}])
+
+
+def test_subset_validation():
+    # a class member outside Z_n, and a zero modulus, are refused at the boundary
     with pytest.raises(ValueError):
         SchurPartition.from_sets(5, [{0}, {1, 2, 3, 4, 5}])
     with pytest.raises(ValueError):
         SchurPartition.from_sets(0, [])
+    with pytest.raises(ValueError):
+        SchurPartition(())
 
 
 def test_partition_canonical_order():
