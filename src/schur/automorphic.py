@@ -8,9 +8,8 @@ rings: each subgroup acts on Z_n and its orbits form the partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, prod
-from typing import Iterable
+from typing import Callable, Iterable
 
 from schur.core import SchurPartition
 from schur.formulas import euler_phi, factorize, is_prime
@@ -57,7 +56,6 @@ class UnitSubgroup:
                     raise ValueError(f"not closed: {a}*{b} mod {n} missing")
 
 
-@lru_cache(maxsize=None)
 def unit_group(n: int) -> UnitGroup:
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -66,53 +64,60 @@ def unit_group(n: int) -> UnitGroup:
     return UnitGroup(n, tuple(x for x in range(1, n) if gcd(x, n) == 1))
 
 
-def _mul_closure(n: int, gens: Iterable[int]) -> frozenset[int]:
-    """Subgroup of (Z/nZ)^x generated by gens."""
-    identity = 1 % n
-    out = {identity}
-    frontier = [identity]
-    gens = tuple(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = (x * g) % n
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(out)
+def _subgroup_lattice(
+    elements: Iterable[int], op: Callable[[int, int], int], identity: int
+) -> list[frozenset[int]]:
+    """Every subgroup of a finite abelian group, each exactly once.
+
+    Seeds with the distinct cyclic subgroups <g>, then walks the growing
+    list and joins each subgroup once with each cyclic one. Every subgroup
+    is a join C1 v ... v Ck of cyclic subgroups, and each partial join is
+    reached from the one before, so the list ends up holding all of them,
+    whatever the rank. In an abelian group A v C = A.C, built as the union
+    of the cosets x.A for x in C.
+    """
+    cyclics: list[frozenset[int]] = []
+    done: set[int] = set()
+    for g in elements:
+        if g in done:
+            continue
+        powers = [identity]
+        x = g
+        while x != identity:
+            powers.append(x)
+            x = op(x, g)
+        m = len(powers)
+        # g^j generates <g> exactly when gcd(j, m) = 1
+        done.update(powers[j] for j in range(1, m) if gcd(j, m) == 1)
+        cyclics.append(frozenset(powers))
+    found = set(cyclics)
+    walk = list(cyclics)
+    for a in walk:
+        for c in cyclics:
+            if c <= a or a <= c:
+                continue
+            out = set(a)
+            for x in c:
+                if x not in out:
+                    out.update(op(x, y) for y in a)
+            joined = frozenset(out)
+            if joined not in found:
+                found.add(joined)
+                walk.append(joined)
+    return walk
 
 
-@lru_cache(maxsize=None)
 def all_subgroups(u: UnitGroup) -> tuple[UnitSubgroup, ...]:
     """Every subgroup of the unit group, each exactly once.
 
-    Seeds with the cyclic subgroups <u> and closes the collection under
-    pairwise join (the subgroup generated by a union) until stable. Output
-    is ordered by size, then by element list.
+    The lattice comes from the generic abelian-group routine under
+    multiplication mod n. Output is ordered by size, then by element list.
     """
     n = u.n
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    for g in u.units:
-        sub = _mul_closure(n, (g,))
-        if sub not in found:
-            found[sub] = (g,)
-    changed = True
-    while changed:
-        changed = False
-        current = list(found.items())
-        for i in range(len(current)):
-            s1, g1 = current[i]
-            for j in range(i + 1, len(current)):
-                s2, g2 = current[j]
-                if s1 <= s2 or s2 <= s1:
-                    continue
-                joined = _mul_closure(n, g1 + g2)
-                if joined not in found:
-                    found[joined] = g1 + g2
-                    changed = True
-    subs = [UnitSubgroup(n, tuple(sorted(s))) for s in found]
+    subs = [
+        UnitSubgroup(n, tuple(sorted(s)))
+        for s in _subgroup_lattice(u.units, lambda a, b: a * b % n, 1 % n)
+    ]
     subs.sort(key=lambda h: (len(h.elements), h.elements))
     return tuple(subs)
 
@@ -128,7 +133,6 @@ def orbit_partition(h: UnitSubgroup) -> SchurPartition:
     return SchurPartition(tuple(labels))
 
 
-@lru_cache(maxsize=None)
 def automorphic_rings(n: int) -> tuple[SchurPartition, ...]:
     """All automorphic Schur rings over Z_n, one per subgroup of the units.
 

@@ -4,14 +4,15 @@ brute_force_schur_rings finds every Schur partition of Z_n by backtracking
 over classes, with no knowledge of the structure theory the enumerator uses,
 so agreement between the two is a real end-to-end check.
 
-brute_force_subgroup_count enumerates subgroups of Z_{r^k} x Z_{r^ell}
-directly, as an oracle for the closed-form lattice size.
+brute_force_subgroup_count lists every subgroup of Z_{r^k} x Z_{r^ell} as a
+set of elements, as an oracle for the closed-form lattice size.
 """
 
 from __future__ import annotations
 
 import random
 
+from schur.automorphic import _subgroup_lattice
 from schur.core import SchurPartition, check_schur_axioms
 from schur.formulas import is_prime
 
@@ -78,8 +79,9 @@ def brute_force_schur_rings(
         x = (remaining & -remaining).bit_length() - 1
         block = next(b for b in blocks if (b >> x) & 1)
         others = _bits(block & ~(1 << x))
-        candidates = list(range(1 << len(others)))
+        candidates = range(1 << len(others))
         if rng is not None:
+            candidates = list(candidates)
             rng.shuffle(candidates)
         for pick in candidates:
             cmask = 1 << x
@@ -149,10 +151,11 @@ def brute_force_schur_rings(
 def brute_force_subgroup_count(r: int, k: int, ell: int) -> int:
     """Count subgroups of Z_{r^k} x Z_{r^ell} by explicit enumeration.
 
-    Every subgroup of a rank-two abelian group needs at most two generators,
-    so joining pairs of cyclic subgroups reaches everything; the collection
-    is still closed under pairwise join afterwards, which the final loop
-    certifies. Group order is capped at 1024.
+    Lists every subgroup of the group, encoded as the integers below its
+    order, with the same lattice routine that lists the subgroups of the
+    unit group: the cyclic subgroups, closed under join with a cyclic
+    subgroup. It uses no closed form, so it checks the lattice-size formula
+    independently. Group order is capped at 1024.
     """
     if not is_prime(r):
         raise ValueError(f"{r} is not prime")
@@ -167,43 +170,4 @@ def brute_force_subgroup_count(r: int, k: int, ell: int) -> int:
     def add(x: int, y: int) -> int:
         return ((x // b_mod + y // b_mod) % a_mod) * b_mod + (x % b_mod + y % b_mod) % b_mod
 
-    def span(gens: tuple[int, ...]) -> frozenset[int]:
-        out = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = add(x, g)
-                    if y not in out:
-                        out.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(out)
-
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    cyclic: dict[frozenset[int], tuple[int, ...]] = {}
-    for g in range(order):
-        sub = span((g,))
-        if sub not in cyclic:
-            cyclic[sub] = (g,)
-    found.update(cyclic)
-    cyc = list(cyclic.items())
-    for i in range(len(cyc)):
-        for j in range(i + 1, len(cyc)):
-            gens = cyc[i][1] + cyc[j][1]
-            sub = span(gens)
-            if sub not in found:
-                found[sub] = gens
-    # certify join-closure: no pair of subgroups may generate anything new
-    work = list(found.items())
-    while work:
-        s1, g1 = work.pop()
-        for s2, g2 in list(found.items()):
-            if s1 <= s2 or s2 <= s1:
-                continue
-            joined = span(g1 + g2)
-            if joined not in found:
-                found[joined] = g1 + g2
-                work.append((joined, g1 + g2))
-    return len(found)
+    return len(_subgroup_lattice(range(order), add, 0))

@@ -11,7 +11,7 @@ from schur.automorphic import (
 )
 from schur.brute_force import brute_force_subgroup_count
 from schur.core import is_schur_partition
-from schur.formulas import divisor_count, euler_phi, semiprime_factors, two_adic_split
+from schur.formulas import divisor_count, euler_phi, is_prime, semiprime_factors, two_adic_split
 
 
 def test_unit_group_examples():
@@ -34,6 +34,59 @@ def test_unit_subgroup_validation():
         UnitSubgroup(7, (1, 2))  # not closed
     with pytest.raises(ValueError):
         UnitSubgroup(6, (1, 2))  # 2 is not a unit
+
+
+def mul_closure(n, gens):
+    """Reference: subgroup of (Z/nZ)^x generated by gens, by BFS."""
+    identity = 1 % n
+    out = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = (x * g) % n
+                if y not in out:
+                    out.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(out)
+
+
+def all_subgroups_by_pair_closure(u):
+    """Reference lattice: cyclic subgroups closed under pairwise join,
+    re-joining every pair until nothing new appears."""
+    n = u.n
+    found = {}
+    for g in u.units:
+        sub = mul_closure(n, (g,))
+        if sub not in found:
+            found[sub] = (g,)
+    changed = True
+    while changed:
+        changed = False
+        current = list(found.items())
+        for i in range(len(current)):
+            s1, g1 = current[i]
+            for j in range(i + 1, len(current)):
+                s2, g2 = current[j]
+                if s1 <= s2 or s2 <= s1:
+                    continue
+                joined = mul_closure(n, g1 + g2)
+                if joined not in found:
+                    found[joined] = g1 + g2
+                    changed = True
+    subs = [UnitSubgroup(n, tuple(sorted(s))) for s in found]
+    subs.sort(key=lambda h: (len(h.elements), h.elements))
+    return tuple(subs)
+
+
+def test_all_subgroups_matches_pair_closure_reference():
+    # covers unit groups of rank >= 3 (n = 24, 120, 168, ...) that no
+    # closed form reaches
+    for n in range(1, 201):
+        u = unit_group(n)
+        assert all_subgroups(u) == all_subgroups_by_pair_closure(u), n
 
 
 def test_all_subgroups_counts():
@@ -126,9 +179,10 @@ def test_aut_subgroup_count_examples():
 
 
 def test_aut_subgroup_count_matches_closure_enumeration_for_semiprimes():
-    for n in range(2, 101):
-        if semiprime_factors(n) is not None:
-            assert aut_subgroup_count(n) == len(all_subgroups(unit_group(n))), n
+    # the semiprimes up to 100, plus the 4p moduli up to 200
+    four_p = [4 * p for p in range(3, 51) if is_prime(p)]
+    for n in [m for m in range(2, 101) if semiprime_factors(m) is not None] + four_p:
+        assert aut_subgroup_count(n) == len(all_subgroups(unit_group(n))), n
 
 
 def test_aut_subgroup_count_rejects_high_rank():

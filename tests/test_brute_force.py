@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -41,6 +42,18 @@ def test_agreement_beyond_default_limit():
     for n in (15, 16, 18, 20):
         forced = brute_force_schur_rings(n, force=True)
         assert forced == enumerate_rings(n).rings
+
+
+def test_search_memory_stays_small():
+    # candidate subsets are iterated lazily: listing all 1 << 14 of them at
+    # the top level of the n=16 search peaks near 0.7 MiB
+    tracemalloc.start()
+    try:
+        brute_force_schur_rings(16, force=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * 2**20
 
 
 def test_search_order_independent():
