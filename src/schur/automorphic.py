@@ -12,7 +12,7 @@ from math import gcd, prod
 from typing import Callable, Iterable
 
 from schur.core import SchurPartition
-from schur.formulas import euler_phi, factorize, is_prime
+from schur.formulas import factorize, subgroup_lattice_size
 
 __all__ = [
     "UnitGroup",
@@ -141,18 +141,6 @@ def automorphic_rings(n: int) -> tuple[SchurPartition, ...]:
     """
     rings = map(orbit_partition, all_subgroups(unit_group(n)))
     return tuple(sorted(rings, key=SchurPartition.sort_key))
-
-
-def subgroup_lattice_size(r: int, k: int, ell: int) -> int:
-    """Number of subgroups of Z_{r^k} x Z_{r^ell} for a prime r."""
-    if not is_prime(r):
-        raise ValueError(f"{r} is not prime")
-    if k < 0 or ell < 0:
-        raise ValueError("exponents must be non-negative")
-    return sum(
-        euler_phi(r**j) * (k - j + 1) * (ell - j + 1)
-        for j in range(min(k, ell) + 1)
-    )
 
 
 def _aut_cyclic_factors(n: int) -> list[int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from schur.automorphic import _subgroup_lattice
-from schur.core import SchurPartition, check_schur_axioms
+from schur.core import SchurPartition, _class_product, check_schur_axioms
 from schur.formulas import is_prime
 
 __all__ = [
@@ -46,11 +46,14 @@ def brute_force_schur_rings(
     The search assigns the class of the smallest unassigned element, trying
     every candidate subset of its constraint block. Pruning rests on two
     facts: the star of a class is a class, so star partners are committed
-    together; and the coefficient vector of any product of completed classes
-    must be constant on every class, so its level sets confine all future
-    classes. The running common refinement of those level sets is kept as a
-    block partition of the unassigned elements, and candidates are drawn
-    from single blocks only.
+    together; and the product of two completed class sums must have
+    coefficients constant on every class. The partial partition is a label
+    vector in which each unassigned residue is its own class, so the product
+    test of check_schur_axioms applies to it as it stands: a singleton is
+    always constant. The level sets of those coefficients confine all future
+    classes; their running common refinement is kept as a block partition of
+    the unassigned elements, and candidates are drawn from single blocks
+    only.
 
     Search cost grows roughly like a pruned Bell number, so moduli above
     `limit` (default 14) are refused unless force=True. An optional rng
@@ -68,6 +71,11 @@ def brute_force_schur_rings(
 
     full = (1 << n) - 1
     results: list[SchurPartition] = []
+    # the partial partition: each unassigned residue is its own class, and
+    # an assigned class is labelled by its least member
+    labels = list(range(n))
+    sizes = [1] * n
+    star_bit = [1 << (-g % n) for g in range(n)]
 
     def extend(assigned: int, classes: list[tuple[int, ...]], blocks: list[int]) -> None:
         if assigned == full:
@@ -85,63 +93,50 @@ def brute_force_schur_rings(
             rng.shuffle(candidates)
         for pick in candidates:
             cmask = 1 << x
-            members = [x]
+            smask = star_bit[x]
             for i, g in enumerate(others):
                 if (pick >> i) & 1:
                     cmask |= 1 << g
-                    members.append(g)
-            smask = 0
-            for g in members:
-                smask |= 1 << ((n - g) % n)
-            if smask == cmask:
-                new_classes = [tuple(sorted(members))]
-            else:
-                if smask & (assigned | cmask):
-                    continue
-                # the star partner is itself a class, so it must sit inside
-                # a single constraint block
-                if not any(smask & ~b == 0 for b in blocks):
-                    continue
-                star_members = sorted((n - g) % n for g in members)
-                new_classes = [tuple(sorted(members)), tuple(star_members)]
-            new_assigned = assigned | cmask | smask
+                    smask |= star_bit[g]
+            # the star partner is itself a class, so unless it is this one it
+            # must be unassigned and sit inside a single constraint block
+            if smask != cmask and (
+                smask & (assigned | cmask) or not any(smask & ~b == 0 for b in blocks)
+            ):
+                continue
+            new_classes = [tuple(_bits(m)) for m in dict.fromkeys((cmask, smask))]
+            for c in new_classes:
+                for g in c:
+                    labels[g] = c[0]
+                sizes[c[0]] = len(c)
             all_classes = classes + new_classes
             base = len(classes)
-            vectors: list[list[int]] = []
-            ok = True
+            products: list[dict[int, int]] = []
             for i, fresh in enumerate(new_classes):
-                for j in range(base + i + 1):
-                    other = all_classes[j]
-                    vec = [0] * n
-                    for a in fresh:
-                        for b in other:
-                            vec[(a + b) % n] += 1
-                    for cls in all_classes:
-                        v0 = vec[cls[0]]
-                        for g in cls:
-                            if vec[g] != v0:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
+                for other in all_classes[: base + i + 1]:
+                    product, bad = _class_product(fresh, other, n, labels, sizes)
+                    if bad >= 0:
                         break
-                    vectors.append(vec)
-                if not ok:
+                    products.append(product)
+                if bad >= 0:
                     break
-            if not ok:
-                continue
-            new_blocks: list[int] = []
-            for b in blocks:
-                b &= ~new_assigned
-                if not b:
-                    continue
-                groups: dict[tuple[int, ...], int] = {}
-                for g in _bits(b):
-                    sig = tuple(vec[g] for vec in vectors)
-                    groups[sig] = groups.get(sig, 0) | (1 << g)
-                new_blocks.extend(groups.values())
-            extend(new_assigned, all_classes, new_blocks)
+            if bad < 0:
+                new_assigned = assigned | cmask | smask
+                new_blocks: list[int] = []
+                for b in blocks:
+                    b &= ~new_assigned
+                    if not b:
+                        continue
+                    groups: dict[tuple[int, ...], int] = {}
+                    for g in _bits(b):
+                        sig = tuple([product.get(g, 0) for product in products])
+                        groups[sig] = groups.get(sig, 0) | (1 << g)
+                    new_blocks.extend(groups.values())
+                extend(new_assigned, all_classes, new_blocks)
+            for c in new_classes:
+                for g in c:
+                    labels[g] = g
+                sizes[c[0]] = 1
 
     extend(1, [(0,)], [full & ~1])
     results.sort(key=SchurPartition.sort_key)
@@ -157,13 +152,14 @@ def brute_force_subgroup_count(r: int, k: int, ell: int) -> int:
     subgroup. It uses no closed form, so it checks the lattice-size formula
     independently. Group order is capped at 1024.
     """
-    if not is_prime(r):
-        raise ValueError(f"{r} is not prime")
     if k < 0 or ell < 0:
         raise ValueError("exponents must be non-negative")
+    # 2**11 > 1024, so the cap is decided before any large power is formed
+    if (abs(r) > 1 and k + ell > 10) or r ** (k + ell) > 1024:
+        raise ValueError(f"group order {r}^{k + ell} exceeds the oracle bound 1024")
+    if not is_prime(r):
+        raise ValueError(f"{r} is not prime")
     order = r ** (k + ell)
-    if order > 1024:
-        raise ValueError(f"group order {order} exceeds the oracle bound 1024")
     a_mod = r**k
     b_mod = r**ell
 

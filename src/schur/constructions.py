@@ -41,10 +41,6 @@ class Section:
     def is_proper_in(self, n: int) -> bool:
         return 1 < self.k <= self.h < n and n % self.h == 0
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.k == self.h
-
 
 def trivial_ring(n: int) -> SchurPartition:
     """The span of the identity and everything else: classes {0} and Z_n - {0}."""

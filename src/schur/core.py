@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from schur.formulas import divisors
 
@@ -148,13 +148,46 @@ class AxiomViolation:
         return f"axiom {self.axiom}: {self.message}"
 
 
+def _class_product(
+    a: Sequence[int], b: Sequence[int], n: int, labels: Sequence[int], sizes: Sequence[int]
+) -> tuple[dict[int, int], int]:
+    """The product of two class sums in Z_n, and the first class it is not constant on.
+
+    Returns the coefficient of each residue on the product's support, in
+    first-hit order, and the label of the first class whose coefficients
+    differ (scanning the support in that order), or -1 if there is none.
+    labels[g] is the label of g's class and sizes[c] the size of class c.
+    Only the support is scanned, so a pair costs O(|a||b|) whatever n is,
+    and all the pairs of a partition of Z_n cost O(n^2) together.
+    """
+    acc: dict[int, int] = {}
+    for x in a:
+        for y in b:
+            g = (x + y) % n
+            acc[g] = acc.get(g, 0) + 1
+    hits: dict[int, list[int]] = {}
+    for g, v in acc.items():
+        c = labels[g]
+        rec = hits.get(c)
+        if rec is None:
+            hits[c] = [v, 1]
+        elif rec[0] != v:
+            return acc, c
+        else:
+            rec[1] += 1
+    # a class only partially covered by the support mixes a zero
+    # coefficient with a positive one
+    for c, (_, count) in hits.items():
+        if count != sizes[c]:
+            return acc, c
+    return acc, -1
+
+
 def check_schur_axioms(p: SchurPartition) -> AxiomViolation | None:
     """Return None when p defines a Schur ring, else the first violation.
 
-    Axiom 3 is checked as: for every pair of classes, the convolution of
-    their indicator vectors is constant on each class. Only the support of
-    each product is scanned, so a full check costs O(n^2) regardless of how
-    many classes there are.
+    Axiom 3 is checked as: for every pair of classes, the product of their
+    class sums has coefficients constant on each class.
     """
     n = p.n
     labels = p.labels
@@ -168,36 +201,13 @@ def check_schur_axioms(p: SchurPartition) -> AxiomViolation | None:
                 2, f"{_braced(c)}* = {_braced(sorted(-x % n for x in c))} is not a class"
             )
     sizes = [len(c) for c in classes]
-    for i in range(len(classes)):
-        for j in range(i, len(classes)):
-            acc: dict[int, int] = {}
-            for a in classes[i]:
-                for b in classes[j]:
-                    g = (a + b) % n
-                    acc[g] = acc.get(g, 0) + 1
-            hits: dict[int, list[int]] = {}
-            bad = -1
-            for g, v in acc.items():
-                cid = labels[g]
-                rec = hits.get(cid)
-                if rec is None:
-                    hits[cid] = [v, 1]
-                elif rec[0] != v:
-                    bad = cid
-                    break
-                else:
-                    rec[1] += 1
-            if bad < 0:
-                # a class only partially covered by the support mixes a zero
-                # coefficient with a positive one
-                for cid, (v, cnt) in hits.items():
-                    if cnt != sizes[cid]:
-                        bad = cid
-                        break
+    for i, a in enumerate(classes):
+        for b in classes[i:]:
+            bad = _class_product(a, b, n, labels, sizes)[1]
             if bad >= 0:
                 return AxiomViolation(
                     3,
-                    f"coefficients of {_braced(classes[i])}*{_braced(classes[j])} are not "
+                    f"coefficients of {_braced(a)}*{_braced(b)} are not "
                     f"constant on class {_braced(classes[bad])}",
                 )
     return None

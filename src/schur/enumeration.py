@@ -54,9 +54,6 @@ class EnumerationResult:
     def omega(self) -> int:
         return len(self.rings)
 
-    def tags_by_ring(self) -> dict[SchurPartition, frozenset[str]]:
-        return dict(zip(self.rings, self.tags))
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

@@ -21,6 +21,7 @@ __all__ = [
     "four_p_factor",
     "SemiprimeProfile",
     "FourPProfile",
+    "subgroup_lattice_size",
     "count_prime",
     "count_semiprime",
     "count_semiprime_split",
@@ -161,6 +162,18 @@ class FourPProfile:
         return cls(p=p, k=k, a=a, x=x)
 
 
+def subgroup_lattice_size(r: int, k: int, ell: int) -> int:
+    """Number of subgroups of Z_{r^k} x Z_{r^ell} for a prime r."""
+    if not is_prime(r):
+        raise ValueError(f"{r} is not prime")
+    if k < 0 or ell < 0:
+        raise ValueError("exponents must be non-negative")
+    return sum(
+        euler_phi(r**j) * (k - j + 1) * (ell - j + 1)
+        for j in range(min(k, ell) + 1)
+    )
+
+
 def count_prime(p: int) -> int:
     """Number of Schur rings over Z_p: the divisor count of p - 1."""
     if not is_prime(p):
@@ -177,12 +190,7 @@ def count_semiprime(p: int, q: int) -> int:
     of p - 1 and q - 1.
     """
     prof = SemiprimeProfile.from_primes(p, q)
-    lattice = 1
-    for r, k, ell in zip(prof.primes, prof.p_exponents, prof.q_exponents):
-        lattice *= sum(
-            euler_phi(r**j) * (k - j + 1) * (ell - j + 1)
-            for j in range(min(k, ell) + 1)
-        )
+    lattice = prod(map(subgroup_lattice_size, prof.primes, prof.p_exponents, prof.q_exponents))
     wedges = 2 * prod(
         (k + 1) * (ell + 1)
         for k, ell in zip(prof.p_exponents, prof.q_exponents)

@@ -91,6 +91,14 @@ def test_subgroup_count_bounds_and_validation():
         brute_force_subgroup_count(2, -1, 0)
 
 
+def test_subgroup_count_cap_checked_before_the_power():
+    # forming 2**100000 first would fail on converting it to a string for
+    # the message, and larger exponents would exhaust memory
+    for shape in [(2, 10**5, 0), (3, 10**4, 10**4)]:
+        with pytest.raises(ValueError, match="1024"):
+            brute_force_subgroup_count(*shape)
+
+
 def test_agrees_with_enumeration_to_12():
     # both sides are canonically sorted, so tuple equality also rules out
     # duplicates or ordering drift

@@ -23,7 +23,6 @@ def test_section_validation():
         Section(3, 4)
     assert Section(2, 4).is_proper_in(12)
     assert not Section(2, 4).is_proper_in(4)
-    assert Section(3, 3).is_trivial
 
 
 def test_trivial_ring():

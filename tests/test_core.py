@@ -9,6 +9,7 @@ from schur.constructions import (
     wedge_product,
 )
 from schur.core import (
+    AxiomViolation,
     SchurPartition,
     canonical_encode,
     check_schur_axioms,
@@ -49,6 +50,77 @@ def test_axiom_three_failure():
     assert str(violation) == (
         "axiom 3: coefficients of {1,2}*{1,2} are not constant on class {3,4}"
     )
+
+
+def _braced(members):
+    return "{" + ",".join(map(str, members)) + "}"
+
+
+def _reference_check_schur_axioms(p):
+    # the checker as it was before the class-product kernel was shared with
+    # the brute-force oracle, kept to pin every violation message
+    n = p.n
+    labels = p.labels
+    classes = p.classes
+    if len(classes[0]) != 1:
+        return AxiomViolation(1, f"class containing 0 is {_braced(classes[0])}, not {{0}}")
+    for c in classes:
+        star = labels[-c[0] % n]
+        if len(classes[star]) != len(c) or any(labels[-x % n] != star for x in c):
+            return AxiomViolation(
+                2, f"{_braced(c)}* = {_braced(sorted(-x % n for x in c))} is not a class"
+            )
+    sizes = [len(c) for c in classes]
+    for i in range(len(classes)):
+        for j in range(i, len(classes)):
+            acc = {}
+            for a in classes[i]:
+                for b in classes[j]:
+                    g = (a + b) % n
+                    acc[g] = acc.get(g, 0) + 1
+            hits = {}
+            bad = -1
+            for g, v in acc.items():
+                cid = labels[g]
+                rec = hits.get(cid)
+                if rec is None:
+                    hits[cid] = [v, 1]
+                elif rec[0] != v:
+                    bad = cid
+                    break
+                else:
+                    rec[1] += 1
+            if bad < 0:
+                for cid, (v, cnt) in hits.items():
+                    if cnt != sizes[cid]:
+                        bad = cid
+                        break
+            if bad >= 0:
+                return AxiomViolation(
+                    3,
+                    f"coefficients of {_braced(classes[i])}*{_braced(classes[j])} are not "
+                    f"constant on class {_braced(classes[bad])}",
+                )
+    return None
+
+
+def _all_label_vectors(n):
+    # restricted growth strings: each residue joins an earlier class or opens
+    # the next one, so every partition of Z_n appears exactly once
+    vectors = [(0,)]
+    for _ in range(n - 1):
+        vectors = [v + (c,) for v in vectors for c in range(max(v) + 2)]
+    return vectors
+
+
+def test_checker_matches_reference_on_every_partition_to_9():
+    total = 0
+    for n in range(1, 10):
+        for labels in _all_label_vectors(n):
+            p = SchurPartition(labels)
+            assert check_schur_axioms(p) == _reference_check_schur_axioms(p), p
+            total += 1
+    assert total == 26442  # Bell numbers B_1 + ... + B_9
 
 
 def test_partition_validation():
