@@ -1,10 +1,10 @@
 """Command-line interface: count, enumerate, table, verify.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error. All output is
-deterministic; diagnostics go to stderr. The brute-force search limit can be
-raised with the SCHUR_ORACLE_LIMIT environment variable (default 14). A value
-that is not a positive integer is a usage error: `count --method oracle` and
-`verify` then exit 2 before enumerating anything.
+deterministic; diagnostics go to stderr. n > MAX_ENUMERATED_N is a usage error
+but for `count --method formula`. The brute-force search limit can be raised
+with the SCHUR_ORACLE_LIMIT environment variable (default 14); a value that
+is not a positive integer makes `count --method oracle` and `verify` exit 2.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from schur.formulas import (
 )
 
 ORACLE_LIMIT_ENV = "SCHUR_ORACLE_LIMIT"
+MAX_ENUMERATED_N = 10**4  # building the rings of Z_n allocates n labels per ring
 
 
 def _oracle_limit() -> int | None:
@@ -285,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     n = getattr(args, "n", None)
     if n is not None and n < 1:
         print("error: n must be a positive integer", file=sys.stderr)
+        return 2
+    if n is not None and n > MAX_ENUMERATED_N and getattr(args, "method", None) != "formula":
+        print(f"error: n={n} exceeds the enumeration bound {MAX_ENUMERATED_N}", file=sys.stderr)
         return 2
     return args.func(args)
 

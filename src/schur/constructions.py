@@ -106,6 +106,22 @@ def wedge_product(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> S
     return SchurPartition(tuple(labels))
 
 
+def _splits_along(labels: tuple[int, ...], k: int, h: int) -> bool:
+    """True when every class outside the order-h subgroup is a union of order-k cosets.
+
+    With that subgroup a union of classes, this says each x outside it shares
+    its class with x + n/k. The coset r, r + n/h, r + 2n/h, ... holds x + n/k
+    h/k places after x, so each coset is compared with its rotation.
+    """
+    step_h = len(labels) // h
+    shift = h // k
+    for r in range(1, step_h):
+        row = labels[r::step_h]
+        if row[shift:] + row[:shift] != row:
+            return False
+    return True
+
+
 def find_wedge_section(p: SchurPartition) -> Section | None:
     """Smallest proper section along which p splits as a wedge, if any.
 
@@ -115,20 +131,10 @@ def find_wedge_section(p: SchurPartition) -> Section | None:
     ascending, then h ascending.
     """
     n = p.n
-    labels = p.labels
     subs = s_subgroups(p)
     for k in subs:
-        if k == 1 or k == n:
-            continue
-        step = n // k
         for h in subs:
-            if h < k or h >= n or h % k != 0:
-                continue
-            step_h = n // h
-            # the order-h subgroup is a union of classes, so the classes
-            # outside it are unions of K-cosets exactly when every residue
-            # outside it shares its class with its translate by n/k
-            if all(labels[x] == labels[(x + step) % n] for x in range(n) if x % step_h):
+            if 1 < k <= h < n and h % k == 0 and _splits_along(p.labels, k, h):
                 return Section(k, h)
     return None
 

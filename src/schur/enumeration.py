@@ -16,6 +16,7 @@ from math import gcd
 from schur.automorphic import automorphic_rings
 from schur.constructions import (
     Section,
+    _splits_along,
     direct_product,
     trivial_ring,
     wedge_core,
@@ -91,7 +92,17 @@ def _proper_sections(n: int) -> list[tuple[int, int]]:
 
 
 def enumerate_rings(n: int) -> EnumerationResult:
-    """Enumerate every Schur ring over Z_n, memoized per modulus."""
+    """Enumerate every Schur ring over Z_n, memoized per modulus.
+
+    Wedges are built along canonical sections only. If R splits along
+    (k, h), it splits along (k, h') for each S-subgroup h | h' < n; along
+    (k, h1) and (k, h2), then along (k, gcd(h1, h2)); along (k1, h) and
+    (k2, h), then along (lcm(k1, k2), h). So a decomposable R splits along a
+    (k, h) with h minimal for k and k maximal for h: for S = R on Z_h and
+    T = R on Z_{n/k}, S splits along no (k, h'), k | h' < h, and T along no
+    (j, h/k), 1 < j | h/k (h', j S-subgroups). With lefts and rights filtered
+    so, every wedge is still built at least once: rings and tags are as before.
+    """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     cached = _CACHE.get(n)
@@ -111,16 +122,19 @@ def enumerate_rings(n: int) -> EnumerationResult:
             for t in enumerate_rings(b).rings:
                 add(direct_product(s, t), "direct")
     for k, h in _proper_sections(n):
-        m = n // k
         hk = h // k
+        smaller_h = [d for d in divisors(h) if d % k == 0 and d < h]
         lefts = [
             (s, quotient(s, k))
             for s in enumerate_rings(h).rings
             if k in s_subgroups(s)
+            and not any(d in s_subgroups(s) and _splits_along(s.labels, k, d) for d in smaller_h)
         ]
+        js = divisors(hk)[1:]  # T splitting along (j, h/k) is R splitting along (jk, h)
         rights: dict[SchurPartition, list[SchurPartition]] = {}
-        for t in enumerate_rings(m).rings:
-            if hk in s_subgroups(t):
+        for t in enumerate_rings(n // k).rings:
+            subs = s_subgroups(t)
+            if hk in subs and not any(j in subs and _splits_along(t.labels, j, hk) for j in js):
                 rights.setdefault(restrict(t, hk), []).append(t)
         section = Section(k, h)
         for s, pushed in lefts:

@@ -167,3 +167,32 @@ def test_oracle_limit_env_invalid_is_usage_error(capsys, monkeypatch):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", (raw, argv)
             assert "SCHUR_ORACLE_LIMIT" in err and "positive integer" in err
+
+
+def test_modulus_bound_is_usage_error(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from schur.cli import MAX_ENUMERATED_N
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the modulus bound was checked")
+
+    monkeypatch.setattr("schur.cli.enumerate_rings", never)
+    monkeypatch.setattr("schur.cli.brute_force_schur_rings", never)
+    for n in (MAX_ENUMERATED_N + 1, 10**18 + 3, 10**70):
+        for argv in (
+            ("count", str(n)),
+            ("count", str(n), "--method", "enumerate"),
+            ("count", str(n), "--method", "oracle"),
+            ("enumerate", str(n), "--json"),
+            ("verify", str(n), "--deep"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert f"exceeds the enumeration bound {MAX_ENUMERATED_N}" in err, argv
+    # the bound itself is accepted, and the closed form takes any n
+    monkeypatch.setattr("schur.cli.enumerate_rings", lambda n: SimpleNamespace(omega=-1))
+    code, out, _ = run(capsys, "count", str(MAX_ENUMERATED_N))
+    assert code == 0 and out == f"Omega({MAX_ENUMERATED_N}) = -1 [enumerate]\n"
+    code, out, _ = run(capsys, "count", "10001", "--method", "formula")
+    assert code == 0 and out == "Omega(10001) = 415 [formula]\n"

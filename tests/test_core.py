@@ -123,6 +123,27 @@ def test_checker_matches_reference_on_every_partition_to_9():
     assert total == 26442  # Bell numbers B_1 + ... + B_9
 
 
+def test_checker_matches_reference_on_enumerated_rings_and_merges():
+    # every ring over Z_n for n <= 36, and each of them with two of its
+    # nonzero classes merged: large classes, and partitions that keep axiom
+    # 2 but break axiom 3 in every way a ring can be coarsened
+    from schur.enumeration import enumerate_rings
+
+    axioms = set()
+    for n in range(1, 37):
+        for ring in enumerate_rings(n).rings:
+            assert check_schur_axioms(ring) is None
+            assert _reference_check_schur_axioms(ring) is None
+            count = len(ring.classes)
+            for i in range(1, count):
+                for j in range(i + 1, count):
+                    p = SchurPartition(tuple(i if c == j else c for c in ring.labels))
+                    violation = check_schur_axioms(p)
+                    assert violation == _reference_check_schur_axioms(p), (ring, i, j)
+                    axioms.add(violation and violation.axiom)
+    assert axioms == {None, 2, 3}
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         SchurPartition.from_sets(4, [{0, 1}, {1, 2, 3}])

@@ -153,3 +153,67 @@ def test_json_output_schema():
     assert sum(e["count"] for e in data["core_census"]) == 7
     for ring in data["rings"]:
         assert set(ring) == {"n", "classes"}
+
+
+def _enumerate_without_wedge_filter(n):
+    # the pairing before the canonical-section filters, kept as a reference:
+    # every (k, h) pairs every S on Z_h with every T on Z_{n/k} that agree on
+    # the section; the library supplies the rings of the smaller moduli
+    from schur.automorphic import automorphic_rings
+    from schur.constructions import Section, direct_product, wedge_core, wedge_product
+    from schur.core import SchurPartition, quotient, restrict, s_subgroups
+    from schur.enumeration import _coprime_splits, _proper_sections
+
+    found = {}
+
+    def add(ring, tag):
+        found.setdefault(ring, set()).add(tag)
+
+    add(trivial_ring(n), "trivial")
+    for ring in automorphic_rings(n):
+        add(ring, "automorphic")
+    for a, b in _coprime_splits(n):
+        for s in enumerate_rings(a).rings:
+            for t in enumerate_rings(b).rings:
+                add(direct_product(s, t), "direct")
+    for k, h in _proper_sections(n):
+        lefts = [(s, quotient(s, k)) for s in enumerate_rings(h).rings if k in s_subgroups(s)]
+        rights = {}
+        for t in enumerate_rings(n // k).rings:
+            if h // k in s_subgroups(t):
+                rights.setdefault(restrict(t, h // k), []).append(t)
+        for s, pushed in lefts:
+            for t in rights.get(pushed, ()):
+                add(wedge_product(s, t, Section(k, h), n), "wedge")
+    rings = tuple(sorted(found, key=SchurPartition.sort_key))
+    census = {}
+    for ring in rings:
+        core = wedge_core(ring)
+        census[core] = census.get(core, 0) + 1
+    return rings, tuple(frozenset(found[r]) for r in rings), census
+
+
+def test_canonical_sections_match_unfiltered_pairing():
+    for n in (60, 72):
+        rings, tags, census = _enumerate_without_wedge_filter(n)
+        result = enumerate_rings(n)
+        assert result.rings == rings
+        assert result.tags == tags
+        assert dict(result.core_census) == census
+
+
+def test_canonical_sections_cut_wedge_builds(monkeypatch):
+    from schur import enumeration
+
+    calls = []
+    build = enumeration.wedge_product
+
+    def counted(*args):
+        calls.append(args[2])
+        return build(*args)
+
+    monkeypatch.setattr(enumeration, "_CACHE", {})
+    monkeypatch.setattr(enumeration, "wedge_product", counted)
+    assert enumerate_rings(48).omega == 1033
+    # the unfiltered pairing builds 6,378 wedges on a cold n = 48
+    assert 0 < len(calls) < 6378 // 2
