@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error. All output is
 deterministic; diagnostics go to stderr. n > MAX_ENUMERATED_N is a usage error
-but for `count --method formula`. The brute-force search limit can be raised
-with the SCHUR_ORACLE_LIMIT environment variable (default 14); a value that
-is not a positive integer makes `count --method oracle` and `verify` exit 2.
+but for `count --method formula`, and so is `table --verify` with --max above
+it. The brute-force search limit can be raised with the SCHUR_ORACLE_LIMIT
+environment variable (default 14); a value that is not a positive integer
+makes `count --method oracle` and `verify` exit 2.
 """
 
 from __future__ import annotations
@@ -127,6 +128,13 @@ def _table_rows(family: str, max_n: int) -> list[tuple[int, int]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.verify and args.max > MAX_ENUMERATED_N:
+        print(
+            f"error: --max {args.max} exceeds the enumeration bound {MAX_ENUMERATED_N} "
+            "(needed by --verify)",
+            file=sys.stderr,
+        )
+        return 2
     rows = _table_rows(args.family, args.max)
     mismatches = 0
     for n, value in rows:

@@ -4,10 +4,85 @@ import tracemalloc
 import pytest
 
 from schur.automorphic import subgroup_lattice_size
-from schur.brute_force import brute_force_schur_rings, brute_force_subgroup_count
+from schur.brute_force import _bits, brute_force_schur_rings, brute_force_subgroup_count
 from schur.constructions import discrete_ring, trivial_ring, wedge_product, Section
-from schur.core import SchurPartition, is_schur_partition
+from schur.core import SchurPartition, _class_product, check_schur_axioms, is_schur_partition
 from schur.enumeration import enumerate_rings
+
+
+def _subset_search(n):
+    """The ring oracle without the multiplier theorem, as a reference.
+
+    For the least unassigned x it tries every subset of x's constraint block
+    that contains x, and commits the star of the class with it. The product
+    test, block refinement and leaf check are those of brute_force_schur_rings.
+    """
+    if n == 1:
+        return (SchurPartition.from_sets(1, [{0}]),)
+    full = (1 << n) - 1
+    results = []
+    labels = list(range(n))
+    sizes = [1] * n
+    star_bit = [1 << (-g % n) for g in range(n)]
+
+    def extend(assigned, classes, blocks):
+        if assigned == full:
+            part = SchurPartition.from_sets(n, classes)
+            if check_schur_axioms(part) is None:
+                results.append(part)
+            return
+        remaining = ~assigned & full
+        x = (remaining & -remaining).bit_length() - 1
+        block = next(b for b in blocks if (b >> x) & 1)
+        others = _bits(block & ~(1 << x))
+        for pick in range(1 << len(others)):
+            cmask = 1 << x
+            smask = star_bit[x]
+            for i, g in enumerate(others):
+                if (pick >> i) & 1:
+                    cmask |= 1 << g
+                    smask |= star_bit[g]
+            if smask != cmask and (
+                smask & (assigned | cmask) or not any(smask & ~b == 0 for b in blocks)
+            ):
+                continue
+            new_classes = [tuple(_bits(m)) for m in dict.fromkeys((cmask, smask))]
+            for c in new_classes:
+                for g in c:
+                    labels[g] = c[0]
+                sizes[c[0]] = len(c)
+            all_classes = classes + new_classes
+            products = []
+            bad = -1
+            for i, fresh in enumerate(new_classes):
+                for other in all_classes[: len(classes) + i + 1]:
+                    product, bad = _class_product(fresh, other, n, labels, sizes)
+                    if bad >= 0:
+                        break
+                    products.append(product)
+                if bad >= 0:
+                    break
+            if bad < 0:
+                new_assigned = assigned | cmask | smask
+                new_blocks = []
+                for b in blocks:
+                    b &= ~new_assigned
+                    if not b:
+                        continue
+                    groups = {}
+                    for g in _bits(b):
+                        sig = tuple(product.get(g, 0) for product in products)
+                        groups[sig] = groups.get(sig, 0) | (1 << g)
+                    new_blocks.extend(groups.values())
+                extend(new_assigned, all_classes, new_blocks)
+            for c in new_classes:
+                for g in c:
+                    labels[g] = g
+                sizes[c[0]] = 1
+
+    extend(1, [(0,)], [full & ~1])
+    results.sort(key=SchurPartition.sort_key)
+    return tuple(results)
 
 
 def test_rings_over_z4():
@@ -39,14 +114,22 @@ def test_limit_enforced_and_forceable():
 
 
 def test_agreement_beyond_default_limit():
-    for n in (15, 16, 18, 20):
+    for n in range(15, 33):
         forced = brute_force_schur_rings(n, force=True)
-        assert forced == enumerate_rings(n).rings
+        assert forced == enumerate_rings(n).rings, n
+
+
+def test_agrees_with_subset_search_to_16():
+    # the multiplier-theorem pruning must drop no ring the plain subset
+    # search finds, and add none
+    for n in range(1, 17):
+        assert brute_force_schur_rings(n, force=True) == _subset_search(n), n
 
 
 def test_search_memory_stays_small():
-    # candidate subsets are iterated lazily: listing all 1 << 14 of them at
-    # the top level of the n=16 search peaks near 0.7 MiB
+    # candidates are generated lazily, one closed class at a time; the n=16
+    # search peaks near 0.07 MiB, and listing all 1 << 14 subsets of a
+    # block at the top level would peak near 0.7 MiB
     tracemalloc.start()
     try:
         brute_force_schur_rings(16, force=True)

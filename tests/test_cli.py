@@ -186,6 +186,8 @@ def test_modulus_bound_is_usage_error(capsys, monkeypatch):
             ("count", str(n), "--method", "oracle"),
             ("enumerate", str(n), "--json"),
             ("verify", str(n), "--deep"),
+            ("table", "semiprime", "--max", str(n), "--verify"),
+            ("table", "fourp", "--max", str(n), "--verify"),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", argv
@@ -196,3 +198,8 @@ def test_modulus_bound_is_usage_error(capsys, monkeypatch):
     assert code == 0 and out == f"Omega({MAX_ENUMERATED_N}) = -1 [enumerate]\n"
     code, out, _ = run(capsys, "count", "10001", "--method", "formula")
     assert code == 0 and out == "Omega(10001) = 415 [formula]\n"
+    code, out, _ = run(capsys, "table", "fourp", "--max", str(MAX_ENUMERATED_N), "--verify")
+    assert code == 1 and out.endswith(" MISMATCH (enumerated -1)\n")
+    # without --verify the table only evaluates closed forms
+    code, out, _ = run(capsys, "table", "semiprime", "--max", "10003")
+    assert code == 0 and out.endswith("10003    385\n")
