@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Callable, Iterable
+from typing import Sequence
 
 from schur.core import SchurPartition
 from schur.formulas import factorize, subgroup_lattice_size
@@ -64,60 +64,103 @@ def unit_group(n: int) -> UnitGroup:
     return UnitGroup(n, tuple(x for x in range(1, n) if gcd(x, n) == 1))
 
 
-def _subgroup_lattice(
-    elements: Iterable[int], op: Callable[[int, int], int], identity: int
-) -> list[frozenset[int]]:
-    """Every subgroup of a finite abelian group, each exactly once.
+def _subgroup_lattice(orders: Sequence[int]) -> list[int]:
+    """Every subgroup of Z_{m1} x ... x Z_{mt}, each exactly once, as a bitmask.
 
-    Seeds with the distinct cyclic subgroups <g>, then walks the growing
-    list and joins each subgroup once with each cyclic one. Every subgroup
-    is a join C1 v ... v Ck of cyclic subgroups, and each partial join is
-    reached from the one before, so the list ends up holding all of them,
-    whatever the rank. In an abelian group A v C = A.C, built as the union
-    of the cosets x.A for x in C.
+    Bit i is the element with mixed-radix index i, the last axis fastest.
+    Seeds with the distinct cyclic subgroups <g>, then walks the growing list
+    and joins each subgroup once with each cyclic one. Every subgroup is a
+    join C1 v ... v Ck of cyclic subgroups, and each partial join is reached
+    from the one before, so the list ends up holding all of them, whatever
+    the rank. A v <g> is the union of the cosets g^j A, walked until
+    g^j A = A; translating a mask by g takes two masked shifts per axis g
+    moves (the coordinates that wrap go down), so a join makes no
+    per-element calls.
     """
-    cyclics: list[frozenset[int]] = []
+    size = prod(orders)
+    full = (1 << size) - 1
+    strides = [prod(orders[j + 1 :]) for j in range(len(orders))]
+
+    def translate(t: int, moves: list[tuple[int, int, int, int]]) -> int:
+        for lo, up, hi, down in moves:
+            t = ((t & lo) << up) | ((t & hi) >> down)
+        return t
+
+    cyclics: list[tuple[int, list[tuple[int, int, int, int]]]] = []
     done: set[int] = set()
-    for g in elements:
+    for g in range(size):
         if g in done:
             continue
-        powers = [identity]
-        x = g
-        while x != identity:
-            powers.append(x)
-            x = op(x, g)
+        moves = []
+        for m, s in zip(orders, strides):
+            if a := g // s % m:
+                # coordinates below m - a on this axis, in every block of m*s bits
+                lo = ((1 << (m - a) * s) - 1) * (full // ((1 << m * s) - 1))
+                moves.append((lo, a * s, full ^ lo, (m - a) * s))
+        powers, t = [0], 1
+        while (t := translate(t, moves)) != 1:
+            powers.append(t.bit_length() - 1)
         m = len(powers)
         # g^j generates <g> exactly when gcd(j, m) = 1
         done.update(powers[j] for j in range(1, m) if gcd(j, m) == 1)
-        cyclics.append(frozenset(powers))
-    found = set(cyclics)
-    walk = list(cyclics)
+        cyclics.append((sum(1 << x for x in powers), moves))
+    walk = [c for c, _ in cyclics]
+    found = set(walk)
     for a in walk:
-        for c in cyclics:
-            if c <= a or a <= c:
+        for c, moves in cyclics:
+            if not c & ~a or not a & ~c:
                 continue
-            out = set(a)
-            for x in c:
-                if x not in out:
-                    out.update(op(x, y) for y in a)
-            joined = frozenset(out)
+            joined = t = a
+            while (t := translate(t, moves)) != a:
+                joined |= t
             if joined not in found:
                 found.add(joined)
                 walk.append(joined)
     return walk
 
 
+def _unit_axes(n: int) -> list[tuple[int, int]]:
+    """(order, generator) pairs whose generators give (Z/nZ)^x as a direct product.
+
+    Per prime power p^e of n: a primitive root for odd p; -1, and 5 when
+    e >= 3, for p = 2; each lifted by CRT to 1 mod n/p^e. Order-1 axes are left out.
+    """
+    axes = []
+    for p, e in factorize(n):
+        q, rest = p**e, n // p**e
+        if p == 2:
+            # -1 has order min(e, 2) mod 2^e
+            local = [(min(e, 2), -1)] + ([(2 ** (e - 2), 5)] if e >= 3 else [])
+        else:
+            qs = [r for r, _ in factorize(p - 1)]
+            g = next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in qs))
+            # a primitive root mod p^2 is one mod every p^e; g + p is one if g is not
+            local = [((p - 1) * q // p, g + p if pow(g, p - 1, p * p) == 1 else g)]
+        for m, g in local:
+            if m > 1:
+                # x = g mod q and x = 1 mod rest
+                axes.append((m, 1 + rest * ((g - 1) * pow(rest, -1, q) % q)))
+    return axes
+
+
 def all_subgroups(u: UnitGroup) -> tuple[UnitSubgroup, ...]:
     """Every subgroup of the unit group, each exactly once.
 
-    The lattice comes from the generic abelian-group routine under
-    multiplication mod n. Output is ordered by size, then by element list.
+    The lattice routine runs on the cyclic axes of _unit_axes(n), and each
+    mask is read through the units listed by mixed-radix index. Output is
+    ordered by size, then by element list. u must equal unit_group(u.n).
     """
     n = u.n
-    subs = [
-        UnitSubgroup(n, tuple(sorted(s)))
-        for s in _subgroup_lattice(u.units, lambda a, b: a * b % n, 1 % n)
-    ]
+    if u != unit_group(n):
+        raise ValueError(f"not the unit group mod {n}")
+    axes = _unit_axes(n)
+    units = [1 % n]
+    for m, g in axes:
+        units = [x * pow(g, c, n) % n for x in units for c in range(m)]
+    subs = []
+    for mask in _subgroup_lattice([m for m, _ in axes]):
+        bits = bin(mask)[:1:-1]
+        subs.append(UnitSubgroup(n, tuple(sorted(x for x, b in zip(units, bits) if b == "1"))))
     subs.sort(key=lambda h: (len(h.elements), h.elements))
     return tuple(subs)
 
@@ -143,20 +186,6 @@ def automorphic_rings(n: int) -> tuple[SchurPartition, ...]:
     return tuple(sorted(rings, key=SchurPartition.sort_key))
 
 
-def _aut_cyclic_factors(n: int) -> list[int]:
-    """Cyclic factor orders of Aut(Z_n), one prime power of n at a time."""
-    factors: list[int] = []
-    for p, e in factorize(n):
-        if p == 2:
-            if e == 2:
-                factors.append(2)
-            elif e >= 3:
-                factors.extend((2, 2 ** (e - 2)))
-        else:
-            factors.append((p - 1) * p ** (e - 1))
-    return [f for f in factors if f > 1]
-
-
 def aut_subgroup_count(n: int) -> int:
     """Size of the subgroup lattice of Aut(Z_n).
 
@@ -164,7 +193,7 @@ def aut_subgroup_count(n: int) -> int:
     group has rank at most two, which covers n prime, semiprime, and 4p.
     """
     counts = []
-    factors = _aut_cyclic_factors(n)
+    factors = [m for m, _ in _unit_axes(n)]
     primes = sorted({r for f in factors for r, _ in factorize(f)})
     for r in primes:
         exponents = sorted(

@@ -48,7 +48,7 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of m >= 1 as ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
     if m < 1:
@@ -69,7 +69,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def divisors(m: int) -> tuple[int, ...]:
     """All positive divisors of m, ascending."""
     divs = [1]

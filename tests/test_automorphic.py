@@ -1,7 +1,12 @@
+from math import gcd, prod
+
 import pytest
 
 from schur.automorphic import (
+    UnitGroup,
     UnitSubgroup,
+    _subgroup_lattice,
+    _unit_axes,
     all_subgroups,
     aut_subgroup_count,
     automorphic_rings,
@@ -11,7 +16,14 @@ from schur.automorphic import (
 )
 from schur.brute_force import brute_force_subgroup_count
 from schur.core import is_schur_partition
-from schur.formulas import divisor_count, euler_phi, is_prime, semiprime_factors, two_adic_split
+from schur.formulas import (
+    divisor_count,
+    euler_phi,
+    factorize,
+    is_prime,
+    semiprime_factors,
+    two_adic_split,
+)
 
 
 def test_unit_group_examples():
@@ -81,12 +93,122 @@ def all_subgroups_by_pair_closure(u):
     return tuple(subs)
 
 
+def subgroup_lattice_by_callback(elements, op, identity):
+    """Reference lattice: the cyclic subgroups of a finite abelian group,
+    closed under join with a cyclic one, each join built element by element
+    as the union of the cosets x.A through the group operation op."""
+    cyclics = []
+    done = set()
+    for g in elements:
+        if g in done:
+            continue
+        powers = [identity]
+        x = g
+        while x != identity:
+            powers.append(x)
+            x = op(x, g)
+        m = len(powers)
+        done.update(powers[j] for j in range(1, m) if gcd(j, m) == 1)
+        cyclics.append(frozenset(powers))
+    found = set(cyclics)
+    walk = list(cyclics)
+    for a in walk:
+        for c in cyclics:
+            if c <= a or a <= c:
+                continue
+            out = set(a)
+            for x in c:
+                if x not in out:
+                    out.update(op(x, y) for y in a)
+            joined = frozenset(out)
+            if joined not in found:
+                found.add(joined)
+                walk.append(joined)
+    return walk
+
+
+def all_subgroups_by_callback(u):
+    n = u.n
+    subs = [
+        UnitSubgroup(n, tuple(sorted(s)))
+        for s in subgroup_lattice_by_callback(u.units, lambda a, b: a * b % n, 1 % n)
+    ]
+    subs.sort(key=lambda h: (len(h.elements), h.elements))
+    return tuple(subs)
+
+
+def mask_members(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_subgroup_lattice_matches_callback_reference():
+    # every oracle shape Z_{r^k} x Z_{r^ell} of order <= 256, compared
+    # subgroup by subgroup; x = a*r^ell + b is the mixed-radix index
+    shapes = [
+        (r, k, ell)
+        for r in range(2, 257)
+        if is_prime(r)
+        for k in range(9)
+        for ell in range(9)
+        if r ** (k + ell) <= 256
+    ]
+    for r, k, ell in shapes:
+        a_mod, b_mod = r**k, r**ell
+
+        def add(x, y):
+            return ((x // b_mod + y // b_mod) % a_mod) * b_mod + (x + y) % b_mod
+
+        masks = _subgroup_lattice((a_mod, b_mod))
+        expected = subgroup_lattice_by_callback(range(a_mod * b_mod), add, 0)
+        assert len(masks) == len(set(masks)), (r, k, ell)
+        assert {mask_members(m) for m in masks} == set(expected), (r, k, ell)
+
+
 def test_all_subgroups_matches_pair_closure_reference():
     # covers unit groups of rank >= 3 (n = 24, 120, 168, ...) that no
     # closed form reaches
     for n in range(1, 201):
         u = unit_group(n)
         assert all_subgroups(u) == all_subgroups_by_pair_closure(u), n
+    # larger unit groups of 2-rank 4, against the element-wise join
+    for n in (240, 480, 720):
+        u = unit_group(n)
+        assert all_subgroups(u) == all_subgroups_by_callback(u), n
+
+
+def check_axis_orders(n, axes):
+    assert prod(m for m, _ in axes) == euler_phi(n), n
+    for m, g in axes:
+        assert m > 1 and gcd(g, n) == 1, (n, m, g)
+        # g has order exactly m: g^m = 1 and g^(m/p) != 1 for each prime p | m
+        assert pow(g, m, n) == 1 % n, (n, m, g)
+        assert all(pow(g, m // p, n) != 1 for p, _ in factorize(m)), (n, m, g)
+
+
+def test_unit_axes_decompose_the_unit_group():
+    for n in range(1, 2001):
+        axes = _unit_axes(n)
+        check_axis_orders(n, axes)
+        products = [1 % n]
+        for m, g in axes:
+            products = [x * pow(g, c, n) % n for x in products for c in range(m)]
+        assert sorted(products) == list(unit_group(n).units), n
+
+
+def test_unit_axes_lift_a_primitive_root_that_fails_mod_p_squared():
+    # 5 is the least primitive root mod 40487, but 5^40486 = 1 mod 40487^2
+    p = 40487
+    assert pow(5, p - 1, p * p) == 1
+    for n in (p * p, 8 * p**3):
+        check_axis_orders(n, _unit_axes(n))
+
+
+def test_all_subgroups_rejects_a_hand_built_unit_group():
+    with pytest.raises(ValueError):
+        all_subgroups(UnitGroup(12, (1, 5)))
+    with pytest.raises(ValueError):
+        all_subgroups(UnitGroup(7, (1, 2, 3, 4, 5, 6, 8)))
+    assert all_subgroups(UnitGroup(12, (1, 5, 7, 11))) == all_subgroups(unit_group(12))
 
 
 def test_all_subgroups_counts():

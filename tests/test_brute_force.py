@@ -8,6 +8,7 @@ from schur.brute_force import _bits, brute_force_schur_rings, brute_force_subgro
 from schur.constructions import discrete_ring, trivial_ring, wedge_product, Section
 from schur.core import SchurPartition, _class_product, check_schur_axioms, is_schur_partition
 from schur.enumeration import enumerate_rings
+from schur.formulas import is_prime
 
 
 def _subset_search(n):
@@ -159,10 +160,20 @@ def test_subgroup_count_examples():
         assert brute_force_subgroup_count(r, k, 0) == k + 1
 
 
-def test_subgroup_count_matches_formula_at_1024():
-    # order-1024 shapes, the oracle's documented ceiling
-    for shape in [(2, 5, 5), (2, 7, 3), (2, 9, 1), (2, 10, 0), (3, 4, 2), (5, 2, 2)]:
-        assert brute_force_subgroup_count(*shape) == subgroup_lattice_size(*shape)
+def test_subgroup_count_matches_formula_on_every_shape_to_1024():
+    # all 644 shapes (r, k, ell) with r^(k+ell) <= 1024, the oracle's
+    # documented ceiling, which it reaches at (2, 5, 5), (3, 4, 2), (5, 2, 2), ...
+    shapes = [
+        (r, k, ell)
+        for r in range(2, 1025)
+        if is_prime(r)
+        for k in range(11)
+        for ell in range(11)
+        if r ** (k + ell) <= 1024
+    ]
+    assert len(shapes) == 644
+    for shape in shapes:
+        assert brute_force_subgroup_count(*shape) == subgroup_lattice_size(*shape), shape
 
 
 def test_subgroup_count_bounds_and_validation():

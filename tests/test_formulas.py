@@ -38,6 +38,12 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
 
 
+def test_factor_caches_are_bounded():
+    for cached in (factorize, divisors):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+
 def test_prime_detection():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
