@@ -106,37 +106,16 @@ def wedge_product(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> S
     return SchurPartition(tuple(labels))
 
 
-def _splits_along(labels: tuple[int, ...], k: int, h: int) -> bool:
-    """True when every class outside the order-h subgroup is a union of order-k cosets.
-
-    With that subgroup a union of classes, this says each x outside it shares
-    its class with x + n/k. The coset r, r + n/h, r + 2n/h, ... holds x + n/k
-    h/k places after x, so each coset is compared with its rotation.
-    """
-    step_h = len(labels) // h
-    shift = h // k
-    for r in range(1, step_h):
-        row = labels[r::step_h]
-        if row[shift:] + row[:shift] != row:
-            return False
-    return True
-
-
 def find_wedge_section(p: SchurPartition) -> Section | None:
     """Smallest proper section along which p splits as a wedge, if any.
 
     A section (k, h) works when every class outside the order-h subgroup is a
     union of cosets of the order-k subgroup; the ring is then the wedge of its
-    restriction to h with its pushforward by k. Sections are scanned with k
-    ascending, then h ascending.
+    restriction to h with its pushforward by k. Sections are ordered with k
+    ascending, then h ascending; each partition finds its sections once.
     """
-    n = p.n
-    subs = s_subgroups(p)
-    for k in subs:
-        for h in subs:
-            if 1 < k <= h < n and h % k == 0 and _splits_along(p.labels, k, h):
-                return Section(k, h)
-    return None
+    sections = p._split_sections
+    return Section(*sections[0]) if sections else None
 
 
 def is_wedge_decomposable(p: SchurPartition) -> bool:

@@ -108,6 +108,19 @@ class SchurPartition:
             if sum(sizes[i] for i in {labels[x] for x in range(0, n, n // d)}) == d
         )
 
+    @cached_property
+    def _split_sections(self) -> tuple[tuple[int, int], ...]:
+        # the proper sections (k, h) of S-subgroups along which the ring
+        # splits as a wedge, k ascending, then h
+        n = self.n
+        subs = self._subgroup_orders
+        return tuple(
+            (k, h)
+            for k in subs
+            for h in subs
+            if 1 < k <= h < n and h % k == 0 and _splits_along(self.labels, k, h)
+        )
+
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         return self.classes
 
@@ -123,6 +136,22 @@ class SchurPartition:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _splits_along(labels: tuple[int, ...], k: int, h: int) -> bool:
+    """True when every class outside the order-h subgroup is a union of order-k cosets.
+
+    With that subgroup a union of classes, this says each x outside it shares
+    its class with x + n/k. The coset r, r + n/h, r + 2n/h, ... holds x + n/k
+    h/k places after x, so each coset is compared with its rotation.
+    """
+    step_h = len(labels) // h
+    shift = h // k
+    for r in range(1, step_h):
+        row = labels[r::step_h]
+        if row[shift:] + row[:shift] != row:
+            return False
+    return True
 
 
 def canonical_encode(p: SchurPartition) -> bytes:

@@ -10,13 +10,12 @@ closed-form counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from schur.automorphic import automorphic_rings
 from schur.constructions import (
     Section,
-    _splits_along,
     direct_product,
     trivial_ring,
     wedge_core,
@@ -50,6 +49,8 @@ class EnumerationResult:
     rings: tuple[SchurPartition, ...]
     tags: tuple[frozenset[str], ...]
     core_census: tuple[tuple[SchurPartition, int], ...]
+    # the wedge core of each ring, aligned with rings
+    _cores: tuple[SchurPartition, ...] = field(compare=False, repr=False)
 
     @property
     def omega(self) -> int:
@@ -94,14 +95,41 @@ def _proper_sections(n: int) -> list[tuple[int, int]]:
 def enumerate_rings(n: int) -> EnumerationResult:
     """Enumerate every Schur ring over Z_n, memoized per modulus.
 
-    Wedges are built along canonical sections only. If R splits along
-    (k, h), it splits along (k, h') for each S-subgroup h | h' < n; along
-    (k, h1) and (k, h2), then along (k, gcd(h1, h2)); along (k1, h) and
-    (k2, h), then along (lcm(k1, k2), h). So a decomposable R splits along a
-    (k, h) with h minimal for k and k maximal for h: for S = R on Z_h and
-    T = R on Z_{n/k}, S splits along no (k, h'), k | h' < h, and T along no
-    (j, h/k), 1 < j | h/k (h', j S-subgroups). With lefts and rights filtered
-    so, every wedge is still built at least once: rings and tags are as before.
+    R splits along a proper section (k, h) (S-subgroups k | h, 1 < k <= h < n)
+    when every class outside the order-h subgroup H is a union of cosets of
+    the order-k subgroup K. R is then the wedge of S = R on Z_h with T = R
+    pushed to Z_{n/k}. For h/k | m, T splits along (j, m) exactly when R
+    splits along (jk, mk): the classes of R outside the order-mk subgroup are
+    the full preimages of those of T outside the order-m one. The split
+    sections of R are closed under
+    (a) growing h: (k, h') for each S-subgroup h | h' < n;
+    (b) meets for one k: (k, h1), (k, h2) give (k, gcd(h1, h2)), as a class
+        outside the meet of H1 and H2 lies outside H1 or outside H2;
+    (c) joins: (k1, h1), (k2, h2) give (lcm(k1, k2), h) for h = lcm(h1, h2)
+        < n, by (a) and since a union of K1- and of K2-cosets is one of
+        (K1 + K2)-cosets.
+
+    Wedges are built along canonical sections only: a left S on Z_h is kept
+    when S splits along no (k, h'), so h is minimal for k; a right T on
+    Z_{n/k} when T splits along no (j, m) with h/k | m, so R splits along no
+    (k', h') with k | k' != k and h | h'. For a decomposable R, take k
+    maximal under divisibility over all its split sections and then the least
+    h for that k, by (b): both filters keep it, so rings and tags are as with
+    no filter. Two kept sections of one R have distinct k by (b), and then
+    (c) breaks the right filter of one of them unless lcm(h1, h2) = n: R is
+    built twice only when two of its split sections join only at h = n.
+
+    The core census is read off the builds. If R splits along (k, h) and L is
+    an S-subgroup, then L <= H, or K <= L and R on Z_L splits along
+    (k, gcd(h, L)) when that is below L (a class inside L and outside H is a
+    union of K-cosets, so one such class puts K in L). Hence core(R) =
+    core(R on Z_h) for every split section (k, h), by induction on n: let
+    (k0, h0) be the section wedge_core peels first and g = gcd(h, h0). If
+    H0 <= H, R on Z_h splits along (k0, h0) or equals R on Z_h0; likewise if
+    H <= H0; otherwise R on Z_h splits along (k0, g) and R on Z_h0 along
+    (k, g), so both have the core of R on Z_g. So a wedge built from S has
+    the core of S, which the memoized result for h holds. A ring no wedge
+    built is indecomposable, as the pairing is complete, and is its own core.
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -110,6 +138,7 @@ def enumerate_rings(n: int) -> EnumerationResult:
         return cached
 
     found: dict[SchurPartition, set[str]] = {}
+    cores: dict[SchurPartition, SchurPartition] = {}
 
     def add(ring: SchurPartition, tag: str) -> None:
         found.setdefault(ring, set()).add(tag)
@@ -123,34 +152,33 @@ def enumerate_rings(n: int) -> EnumerationResult:
                 add(direct_product(s, t), "direct")
     for k, h in _proper_sections(n):
         hk = h // k
-        smaller_h = [d for d in divisors(h) if d % k == 0 and d < h]
+        below = enumerate_rings(h)
         lefts = [
-            (s, quotient(s, k))
-            for s in enumerate_rings(h).rings
-            if k in s_subgroups(s)
-            and not any(d in s_subgroups(s) and _splits_along(s.labels, k, d) for d in smaller_h)
+            (s, quotient(s, k), core)
+            for s, core in zip(below.rings, below._cores)
+            if k in s_subgroups(s) and all(j != k for j, _ in s._split_sections)
         ]
-        js = divisors(hk)[1:]  # T splitting along (j, h/k) is R splitting along (jk, h)
         rights: dict[SchurPartition, list[SchurPartition]] = {}
         for t in enumerate_rings(n // k).rings:
-            subs = s_subgroups(t)
-            if hk in subs and not any(j in subs and _splits_along(t.labels, j, hk) for j in js):
+            if hk in s_subgroups(t) and all(m % hk for _, m in t._split_sections):
                 rights.setdefault(restrict(t, hk), []).append(t)
         section = Section(k, h)
-        for s, pushed in lefts:
+        for s, pushed, core in lefts:
             for t in rights.get(pushed, ()):
-                add(wedge_product(s, t, section, n), "wedge")
+                ring = wedge_product(s, t, section, n)
+                add(ring, "wedge")
+                cores[ring] = core
 
     rings = tuple(sorted(found, key=SchurPartition.sort_key))
     tags = tuple(frozenset(found[r]) for r in rings)
+    ring_cores = tuple(cores[r] if r in cores else wedge_core(r) for r in rings)
     census: dict[SchurPartition, int] = {}
-    for ring in rings:
-        core = wedge_core(ring)
+    for core in ring_cores:
         census[core] = census.get(core, 0) + 1
     census_items = tuple(
         sorted(census.items(), key=lambda item: (item[0].n, item[0].sort_key()))
     )
-    result = EnumerationResult(n, rings, tags, census_items)
+    result = EnumerationResult(n, rings, tags, census_items, ring_cores)
     _CACHE[n] = result
     return result
 

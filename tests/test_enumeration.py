@@ -58,11 +58,23 @@ def test_family_tags_for_semiprime():
 
 def test_wedge_tag_equals_decomposability():
     # the wedge loop is complete: a ring carries the wedge tag exactly when
-    # the independent section detector splits it
-    for n in (12, 21, 30):
+    # the independent section detector splits it; the census relies on it,
+    # taking every ring without the tag as its own core
+    for n in (12, 21, 30, 48, 60, 72):
         result = enumerate_rings(n)
         for ring, tags in zip(result.rings, result.tags):
             assert ("wedge" in tags) == is_wedge_decomposable(ring), (n, ring)
+
+
+def test_cores_read_off_the_build_match_wedge_core():
+    # the census takes a wedge's core from its left factor's memoized core
+    from schur.constructions import wedge_core
+
+    for n in range(1, 49):
+        result = enumerate_rings(n)
+        assert len(result._cores) == result.omega
+        for ring, core in zip(result.rings, result._cores):
+            assert core == wedge_core(ring), (n, ring)
 
 
 def test_direct_tag_equals_product_reconstruction():
@@ -155,10 +167,11 @@ def test_json_output_schema():
         assert set(ring) == {"n", "classes"}
 
 
-def _enumerate_without_wedge_filter(n):
-    # the pairing before the canonical-section filters, kept as a reference:
-    # every (k, h) pairs every S on Z_h with every T on Z_{n/k} that agree on
-    # the section; the library supplies the rings of the smaller moduli
+def _reference_enumeration(n, keep_left, keep_right):
+    # the pairing of enumerate_rings with the wedge filters passed in, and the
+    # census from wedge_core; the library supplies the rings of the smaller
+    # moduli. keep_left(s, k, h) and keep_right(t, k, h) see S-subgroup k of S
+    # on Z_h and S-subgroup h/k of T on Z_{n/k}
     from schur.automorphic import automorphic_rings
     from schur.constructions import Section, direct_product, wedge_core, wedge_product
     from schur.core import SchurPartition, quotient, restrict, s_subgroups
@@ -177,10 +190,14 @@ def _enumerate_without_wedge_filter(n):
             for t in enumerate_rings(b).rings:
                 add(direct_product(s, t), "direct")
     for k, h in _proper_sections(n):
-        lefts = [(s, quotient(s, k)) for s in enumerate_rings(h).rings if k in s_subgroups(s)]
+        lefts = [
+            (s, quotient(s, k))
+            for s in enumerate_rings(h).rings
+            if k in s_subgroups(s) and keep_left(s, k, h)
+        ]
         rights = {}
         for t in enumerate_rings(n // k).rings:
-            if h // k in s_subgroups(t):
+            if h // k in s_subgroups(t) and keep_right(t, k, h):
                 rights.setdefault(restrict(t, h // k), []).append(t)
         for s, pushed in lefts:
             for t in rights.get(pushed, ()):
@@ -193,9 +210,49 @@ def _enumerate_without_wedge_filter(n):
     return rings, tuple(frozenset(found[r]) for r in rings), census
 
 
+def _enumerate_without_wedge_filter(n):
+    # every (k, h) pairs every S on Z_h with every T on Z_{n/k} that agree on
+    # the section
+    return _reference_enumeration(n, lambda s, k, h: True, lambda t, k, h: True)
+
+
+def _keep_left_h_minimal(s, k, h):
+    from schur.core import _splits_along, s_subgroups
+    from schur.formulas import divisors
+
+    subs = s_subgroups(s)
+    return not any(
+        d in subs and _splits_along(s.labels, k, d) for d in divisors(h) if d % k == 0 and d < h
+    )
+
+
+def _keep_right_k_maximal_for_h(t, k, h):
+    # T splitting along (j, h/k) is R splitting along (jk, h)
+    from schur.core import _splits_along, s_subgroups
+    from schur.formulas import divisors
+
+    subs = s_subgroups(t)
+    return not any(j in subs and _splits_along(t.labels, j, h // k) for j in divisors(h // k)[1:])
+
+
+def _enumerate_with_k_maximal_for_h(n):
+    # the earlier filter pair: h minimal for k, and k maximal for h only,
+    # not over all sections above (k, h)
+    return _reference_enumeration(n, _keep_left_h_minimal, _keep_right_k_maximal_for_h)
+
+
 def test_canonical_sections_match_unfiltered_pairing():
     for n in (60, 72):
         rings, tags, census = _enumerate_without_wedge_filter(n)
+        result = enumerate_rings(n)
+        assert result.rings == rings
+        assert result.tags == tags
+        assert dict(result.core_census) == census
+
+
+def test_k_maximal_over_all_sections_matches_k_maximal_for_h():
+    for n in (60, 72):
+        rings, tags, census = _enumerate_with_k_maximal_for_h(n)
         result = enumerate_rings(n)
         assert result.rings == rings
         assert result.tags == tags
@@ -209,11 +266,15 @@ def test_canonical_sections_cut_wedge_builds(monkeypatch):
     build = enumeration.wedge_product
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[3])
         return build(*args)
 
     monkeypatch.setattr(enumeration, "_CACHE", {})
     monkeypatch.setattr(enumeration, "wedge_product", counted)
-    assert enumerate_rings(48).omega == 1033
-    # the unfiltered pairing builds 6,378 wedges on a cold n = 48
-    assert 0 < len(calls) < 6378 // 2
+    result = enumerate_rings(48)
+    assert result.omega == 1033
+    # with k maximal over all sections, n = 48 builds each wedge-tagged ring
+    # once at the top level (k maximal for h only built 1,876; the unfiltered
+    # pairing 6,378 wedges in all, sub-moduli included)
+    wedge_tagged = sum("wedge" in t for t in result.tags)
+    assert calls.count(48) == wedge_tagged == 1019
