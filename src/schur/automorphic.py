@@ -42,9 +42,11 @@ class UnitSubgroup:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        n = self.n
+        if n < 1:
+            raise ValueError(f"modulus must be positive, got {n}")
         elements = tuple(sorted(set(int(x) for x in self.elements)))
         object.__setattr__(self, "elements", elements)
-        n = self.n
         if 1 % n not in elements:
             raise ValueError("subgroup must contain the identity")
         members = set(elements)

@@ -15,9 +15,8 @@ bitmask over its elements, as an oracle for the closed-form lattice size.
 
 from __future__ import annotations
 
-import random
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from schur.automorphic import _subgroup_lattice
 from schur.core import SchurPartition, _class_product, check_schur_axioms
@@ -42,11 +41,7 @@ def _bits(mask: int) -> list[int]:
 
 
 def brute_force_schur_rings(
-    n: int,
-    *,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-    force: bool = False,
-    rng: random.Random | None = None,
+    n: int, *, limit: int = DEFAULT_SEARCH_LIMIT, force: bool = False
 ) -> tuple[SchurPartition, ...]:
     """All Schur partitions of Z_n by exhaustive backtracking.
 
@@ -55,22 +50,25 @@ def brute_force_schur_rings(
     m*C = C whenever m*C meets C. Candidates grow from {x} by deciding the
     other members of x's constraint block in order, each included or
     excluded; after each inclusion C is closed under every unit m with m*C
-    meeting C, and the branch is pruned if the closure leaves the block or
-    takes in an excluded element. C is committed with its whole unit orbit
-    {m*C}, which holds its star -C, and every image must sit inside a
-    single block. The product of two completed class sums must have
-    coefficients constant on every class. The partial partition is a label
-    vector in which each unassigned residue is its own class, so the product
-    test of check_schur_axioms applies to it as it stands: a singleton is
-    always constant. The level sets of those coefficients confine all future
+    meeting C, and the branch is pruned if the closure takes in an excluded
+    element. C is committed with its whole unit orbit {m*C}, which holds its
+    star -C. The product of two completed class sums must have coefficients
+    constant on every class. The partial partition is a label vector in
+    which each unassigned residue is its own class, so the product test of
+    check_schur_axioms applies to it as it stands: a singleton is always
+    constant. The level sets of those coefficients confine all future
     classes; their running common refinement is kept as a block partition of
     the unassigned elements. Every complete partition is still checked
     against all the Schur axioms.
 
+    Every unit m permutes the blocks: the first is Z_n minus {0}, and each
+    refinement splits by the products of a whole committed orbit with every
+    class, a set that x -> m*x permutes. So a closure never leaves C's
+    block, and every m*C lies in a block, clear of assigned residues.
+
     On one core of a shared Intel Xeon VM (Python 3.11) the search takes
     under 0.12 s for every n <= 32, 1.3 s at n=48 and 3.9 s at n=60. Moduli
-    above `limit` (default 14) are refused unless force=True. An optional
-    rng shuffles candidate order; the result set does not depend on it.
+    above `limit` (default 14) are refused unless force=True.
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -97,18 +95,15 @@ def brute_force_schur_rings(
             out |= row[g]
         return out
 
-    def close(cmask: int, allowed: int) -> int:
-        """Grow cmask until it contains every unit image of itself that it meets.
-
-        Returns 0 if the growth leaves `allowed`.
-        """
+    def close(cmask: int, excluded: int) -> int:
+        """cmask grown to hold every unit image of it that it meets; 0 if one is excluded."""
         grown = True
         while grown:
             grown = False
             for row in scale:
                 img = image(row, cmask)
                 if img & cmask and img & ~cmask:
-                    if img & ~allowed:
+                    if img & excluded:
                         return 0
                     cmask |= img
                     grown = True
@@ -126,7 +121,7 @@ def brute_force_schur_rings(
                 return
             g = others[i]
             yield from grow(i + 1, cmask, excluded | 1 << g)
-            grown = close(cmask | 1 << g, block & ~excluded)
+            grown = close(cmask | 1 << g, excluded)
             if grown:
                 yield from grow(i + 1, grown, excluded)
 
@@ -141,16 +136,9 @@ def brute_force_schur_rings(
         remaining = ~assigned & full
         x = (remaining & -remaining).bit_length() - 1
         block = next(b for b in blocks if (b >> x) & 1)
-        picks: Iterable[int] = candidates(x, block)
-        if rng is not None:
-            picks = list(picks)
-            rng.shuffle(picks)
-        for cmask in picks:
-            # every unit image of the class is a class; blocks hold only
-            # unassigned residues, so an image inside one avoids the others
+        for cmask in candidates(x, block):
+            # every unit image of the class is a class
             orbit = list(dict.fromkeys([cmask] + [image(row, cmask) for row in scale]))
-            if not all(any(img & ~b == 0 for b in blocks) for img in orbit[1:]):
-                continue
             new_classes = [tuple(_bits(mask)) for mask in orbit]
             for c in new_classes:
                 for g in c:

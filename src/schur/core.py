@@ -9,9 +9,10 @@ throughout: the subgroup of order d is the set of multiples of n/d.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, index
 from typing import Iterable, Sequence
 
 from schur.formulas import divisors
@@ -31,6 +32,13 @@ __all__ = [
 
 def _braced(members: Iterable[object]) -> str:
     return "{" + ",".join(map(str, members)) + "}"
+
+
+def _integer(value: object) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -59,14 +67,15 @@ class SchurPartition:
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SchurPartition":
         """Partition of Z_n with the given classes, in any order.
 
-        Rejects a class that is empty or has a member outside 0..n-1, classes
-        that overlap, and classes that do not cover Z_n.
+        Rejects non-integers, an empty class, a member outside 0..n-1,
+        classes that overlap, and classes that do not cover Z_n.
         """
+        n = _integer(n)
         if n < 1:
             raise ValueError(f"modulus must be positive, got {n}")
         labels = [-1] * n
         for i, s in enumerate(sets):
-            members = {int(x) for x in s}
+            members = set(map(_integer, s))
             if not members:
                 raise ValueError("empty class")
             for x in members:
@@ -101,11 +110,9 @@ class SchurPartition:
         # it meets have sizes adding up to d
         n = self.n
         labels = self.labels
-        sizes = [len(c) for c in self.classes]
+        sizes = Counter(labels)
         return tuple(
-            d
-            for d in divisors(n)
-            if sum(sizes[i] for i in {labels[x] for x in range(0, n, n // d)}) == d
+            d for d in divisors(n) if sum(sizes[i] for i in set(labels[:: n // d])) == d
         )
 
     @cached_property
@@ -132,7 +139,7 @@ class SchurPartition:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SchurPartition":
-        return cls.from_sets(int(obj["n"]), obj["classes"])
+        return cls.from_sets(obj["n"], obj["classes"])
 
     def __str__(self) -> str:
         return self.to_text()
@@ -163,7 +170,7 @@ def canonical_encode(p: SchurPartition) -> bytes:
 def canonical_decode(data: bytes) -> SchurPartition:
     """Inverse of canonical_encode."""
     head, _, body = data.decode("ascii").partition("|")
-    sets = [chunk.split(",") for chunk in body.split(";")]
+    sets = [map(int, chunk.split(",")) for chunk in body.split(";")]
     return SchurPartition.from_sets(int(head), sets)
 
 
@@ -300,19 +307,19 @@ def restrict(p: SchurPartition, d: int) -> SchurPartition:
 def quotient(p: SchurPartition, k: int) -> SchurPartition:
     """Push the partition forward along Z_n -> Z_{n/k}, x -> x mod n/k.
 
-    Requires the order-k subgroup (the kernel) to be an S-subgroup, and the
-    class images to be pairwise equal or disjoint.
+    Requires the order-k subgroup K (the kernel) to be an S-subgroup, and the
+    class images to be pairwise equal or disjoint. Residue r is keyed on the
+    classes that meet the coset r + K; equal keys make one class. The images
+    are equal or disjoint exactly when no class lies in two different keys:
+    if class a lies in the different keys of r and s, some class b lies in
+    one only, say r's, and b's image meets a's at r but misses s; if none
+    does, each image is the set of residues with one key. So the distinct
+    keys' sizes must add up to the number of classes.
     """
     if k not in s_subgroups(p):
         raise ValueError(f"order-{k} subgroup is not an S-subgroup of the partition")
     m = p.n // k
-    images = dict.fromkeys(frozenset(x % m for x in c) for c in p.classes)
-    # the images cover Z_m, so they are pairwise disjoint exactly when their
-    # sizes add up to m
-    if sum(map(len, images)) != m:
+    keys = [frozenset(p.labels[r::m]) for r in range(m)]
+    if sum(map(len, set(keys))) != max(p.labels) + 1:
         raise ValueError(f"class images under x -> x mod {m} are not equal-or-disjoint")
-    labels = [0] * m
-    for i, image in enumerate(images):
-        for r in image:
-            labels[r] = i
-    return SchurPartition(tuple(labels))
+    return SchurPartition(tuple(keys))

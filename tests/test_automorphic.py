@@ -48,6 +48,13 @@ def test_unit_subgroup_validation():
         UnitSubgroup(6, (1, 2))  # 2 is not a unit
 
 
+def test_unit_subgroup_refuses_nonpositive_modulus():
+    # refused as unit_group refuses it, not by a ZeroDivisionError from 1 % n
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            UnitSubgroup(n, (1,))
+
+
 def mul_closure(n, gens):
     """Reference: subgroup of (Z/nZ)^x generated by gens, by BFS."""
     identity = 1 % n

@@ -1,4 +1,3 @@
-import random
 import tracemalloc
 
 import pytest
@@ -138,13 +137,6 @@ def test_search_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 0.3 * 2**20
-
-
-def test_search_order_independent():
-    baseline = brute_force_schur_rings(8)
-    for seed in (0, 1, 2038):
-        shuffled = brute_force_schur_rings(8, rng=random.Random(seed))
-        assert shuffled == baseline
 
 
 def test_output_sorted_canonically():

@@ -18,6 +18,7 @@ from schur.core import (
     restrict,
     s_subgroups,
 )
+from schur.formulas import divisors
 
 
 def test_star_examples():
@@ -123,6 +124,54 @@ def test_checker_matches_reference_on_every_partition_to_9():
     assert total == 26442  # Bell numbers B_1 + ... + B_9
 
 
+def _reference_s_subgroups(p):
+    # the class-size rule as it was before the sizes were counted off the labels
+    n = p.n
+    labels = p.labels
+    sizes = [len(c) for c in p.classes]
+    return tuple(
+        d
+        for d in divisors(n)
+        if sum(sizes[i] for i in {labels[x] for x in range(0, n, n // d)}) == d
+    )
+
+
+def _reference_quotient(p, k):
+    # the class-image quotient as it was before residues were keyed on cosets
+    if k not in _reference_s_subgroups(p):
+        raise ValueError(f"order-{k} subgroup is not an S-subgroup of the partition")
+    m = p.n // k
+    images = dict.fromkeys(frozenset(x % m for x in c) for c in p.classes)
+    if sum(map(len, images)) != m:
+        raise ValueError(f"class images under x -> x mod {m} are not equal-or-disjoint")
+    labels = [0] * m
+    for i, image in enumerate(images):
+        for r in image:
+            labels[r] = i
+    return SchurPartition(tuple(labels))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def test_quotient_and_s_subgroups_match_reference_on_every_partition_to_9():
+    cases = errors = 0
+    for n in range(1, 10):
+        for labels in _all_label_vectors(n):
+            p = SchurPartition(labels)
+            assert s_subgroups(p) == _reference_s_subgroups(p), p
+            for k in divisors(n):
+                outcome = _outcome(_reference_quotient, p, k)
+                assert _outcome(quotient, p, k) == outcome, (p, k)
+                cases += 1
+                errors += isinstance(outcome, str)
+    assert (cases, errors) == (82731, 50414)
+
+
 def test_checker_matches_reference_on_enumerated_rings_and_merges():
     # every ring over Z_n for n <= 36, and each of them with two of its
     # nonzero classes merged: large classes, and partitions that keep axiom
@@ -151,6 +200,16 @@ def test_partition_validation():
         SchurPartition.from_sets(4, [{0}, {1}])
     with pytest.raises(ValueError):
         SchurPartition.from_sets(4, [{0}, set(), {1, 2, 3}])
+
+
+def test_non_integer_input_is_refused():
+    # int() would turn each of these into {{0},{1,2}} on Z_3
+    with pytest.raises(ValueError, match="3.9"):
+        SchurPartition.from_json_dict({"n": 3.9, "classes": [[0], [1, 2]]})
+    with pytest.raises(ValueError, match="1.5"):
+        SchurPartition.from_json_dict({"n": 3, "classes": [[0], [1.5, 2]]})
+    with pytest.raises(ValueError, match="'1'"):
+        SchurPartition.from_sets(3, [{0}, {"1", 2}])
 
 
 def test_subset_validation():
