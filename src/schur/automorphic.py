@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Sequence
 
-from schur.core import SchurPartition
+from schur.core import SchurPartition, _integer
 from schur.formulas import factorize, subgroup_lattice_size
 
 __all__ = [
@@ -45,7 +45,7 @@ class UnitSubgroup:
         n = self.n
         if n < 1:
             raise ValueError(f"modulus must be positive, got {n}")
-        elements = tuple(sorted(set(int(x) for x in self.elements)))
+        elements = tuple(sorted(set(map(_integer, self.elements))))
         object.__setattr__(self, "elements", elements)
         if 1 % n not in elements:
             raise ValueError("subgroup must contain the identity")

@@ -86,7 +86,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        value = len(brute_force_schur_rings(n, limit=limit))
+        value = len(brute_force_schur_rings(n, force=True))
     else:
         value = enumerate_rings(n).omega
     print(f"Omega({n}) = {value} [{method}]")
@@ -214,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"warning: forcing brute-force search at n={n} (limit {limit})",
                 file=sys.stderr,
             )
-        oracle = brute_force_schur_rings(n, limit=limit, force=True)
+        oracle = brute_force_schur_rings(n, force=True)
         checks.append(
             (
                 "oracle",

@@ -195,6 +195,7 @@ def _class_product(
     differ (scanning the support in that order), or -1 if there is none.
     labels[g] is the label of g's class and sizes[c] the size of class c.
     Only the support is scanned, so a pair costs O(|a||b|) whatever n is.
+    Only check_schur_axioms, to word a violation, and the test references call it.
     """
     acc: dict[int, int] = {}
     for x in a:
@@ -219,18 +220,31 @@ def _class_product(
     return acc, -1
 
 
+def _signature(row: list[int], members: Iterable[int]) -> list[int]:
+    """sig[g] = sum over x in members of row[g - x], g in Z_n, row the weights of Z_n twice.
+
+    With row[g] the weight base**c of g's class c, digit c of sig[g] is the
+    coefficient at g of (sum of members) * (class c), if no digit carries.
+    """
+    n = len(row) // 2
+    x, *rest = members
+    sig = row[n - x : 2 * n - x]
+    for x in rest:
+        sig = list(map(add, sig, row[n - x : 2 * n - x]))
+    return sig
+
+
 def _products_constant(labels: tuple[int, ...], classes: Sequence[Sequence[int]]) -> bool:
     """True when every product of two class sums is constant on every class.
 
     The coefficient of a*b at g counts the x in a with g - x in b, so this
-    holds exactly when, for each class a, the multiset of labels of g - x
-    (x in a) is constant on every class. sig_a(g) = sum over x in a of
-    base**label(g - x), base the largest class size + 1, encodes it without
-    carries. Built one rotated row of weights per member of a, all classes
-    cost O(n^2) additions and O(n) memory: one pass per class, where the
-    pair scan makes one per pair. Given axioms 1 and 2, {0} is skipped (sig
-    is the weights), so is a* after a ((a*)(b) at g is (a)(b*) at -g), and
-    so is the largest class with a* = a (all signatures add up to a constant).
+    holds exactly when each class's _signature over the weights base**label,
+    base the largest class size + 1 so no digit carries, is constant on
+    every class: O(n^2) additions and O(n) memory in all, one pass per
+    class where the pair scan makes one per pair. Given axioms 1 and 2,
+    {0} is skipped (sig is the weights), so is a* after a ((a*)(b) at g is
+    (a)(b*) at -g), and so is the largest class with a* = a (all signatures
+    add up to a constant).
     """
     n = len(labels)
     base = max(map(len, classes)) + 1
@@ -243,10 +257,7 @@ def _products_constant(labels: tuple[int, ...], classes: Sequence[Sequence[int]]
     if symmetric:
         todo.remove(max(symmetric, key=lambda c: len(classes[c])))
     for c in todo:
-        x, *rest = classes[c]
-        sig = row[n - x : 2 * n - x]
-        for x in rest:
-            sig = list(map(add, sig, row[n - x : 2 * n - x]))
+        sig = _signature(row, classes[c])
         if list(map(sig.__getitem__, firsts)) != sig:  # sig[g] != sig[least member of g's class]
             return False
     return True

@@ -48,6 +48,14 @@ def test_unit_subgroup_validation():
         UnitSubgroup(6, (1, 2))  # 2 is not a unit
 
 
+def test_unit_subgroup_refuses_non_integer_elements():
+    # read through operator.index, as from_sets reads classes: int() would
+    # truncate 1.5 to 1 and parse '1', and return the subgroup {1, 2, 4}
+    for bad, shown in ((1.5, "1.5"), ("1", "'1'")):
+        with pytest.raises(ValueError, match=f"expected an integer, got {shown}"):
+            UnitSubgroup(7, (bad, 2, 4))
+
+
 def test_unit_subgroup_refuses_nonpositive_modulus():
     # refused as unit_group refuses it, not by a ZeroDivisionError from 1 % n
     for n in (0, -3):

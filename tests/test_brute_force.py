@@ -114,7 +114,7 @@ def test_limit_enforced_and_forceable():
 
 
 def test_agreement_beyond_default_limit():
-    for n in range(15, 33):
+    for n in range(15, 49):
         forced = brute_force_schur_rings(n, force=True)
         assert forced == enumerate_rings(n).rings, n
 

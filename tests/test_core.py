@@ -11,6 +11,8 @@ from schur.constructions import (
 from schur.core import (
     AxiomViolation,
     SchurPartition,
+    _class_product,
+    _signature,
     canonical_encode,
     check_schur_axioms,
     is_schur_partition,
@@ -122,6 +124,30 @@ def test_checker_matches_reference_on_every_partition_to_9():
             assert check_schur_axioms(p) == _reference_check_schur_axioms(p), p
             total += 1
     assert total == 26442  # Bell numbers B_1 + ... + B_9
+
+
+def test_signature_digits_are_class_product_coefficients():
+    # weigh the class with least member c by n**c, as the ring oracle does:
+    # digit d of a class's signature at g is then its product's coefficient
+    # at g with the class whose least member is d. With {0} a class, no
+    # coefficient reaches n, so no digit carries
+    partitions = pairs = 0
+    for n in range(2, 10):
+        for labels in _all_label_vectors(n):
+            if 0 in labels[1:]:
+                continue
+            classes = SchurPartition(labels).classes
+            sizes = [len(c) for c in classes]
+            row = [n ** classes[c][0] for c in labels] * 2
+            for a in classes:
+                sig = _signature(row, a)
+                for b in classes:
+                    product = _class_product(a, b, n, labels, sizes)[0]
+                    digits = [sig[g] // n ** b[0] % n for g in range(n)]
+                    assert digits == [product.get(g, 0) for g in range(n)], (labels, a, b)
+                    pairs += 1
+            partitions += 1
+    assert (partitions, pairs) == (5295, 137119)
 
 
 def _reference_s_subgroups(p):
