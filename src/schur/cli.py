@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterator
 
 from schur.automorphic import aut_subgroup_count
 from schur.brute_force import DEFAULT_SEARCH_LIMIT, brute_force_schur_rings
@@ -112,19 +113,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(family: str, max_n: int) -> list[tuple[int, int]]:
-    rows = []
+def _table_rows(family: str, max_n: int) -> Iterator[tuple[int, int]]:
+    """(n, count) for each n <= max_n in the family, one at a time."""
     if family == "semiprime":
         for n in range(2, max_n + 1):
             pq = semiprime_factors(n)
             if pq is not None:
-                rows.append((n, count_semiprime(*pq)))
+                yield n, count_semiprime(*pq)
     else:
         for n in range(4, max_n + 1, 4):
             p = four_p_factor(n)
             if p is not None:
-                rows.append((n, count_4p(p)))
-    return rows
+                yield n, count_4p(p)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -135,9 +135,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    rows = _table_rows(args.family, args.max)
     mismatches = 0
-    for n, value in rows:
+    for n, value in _table_rows(args.family, args.max):
         line = f"{n:4d}  {value:5d}"
         if args.verify:
             enumerated = enumerate_rings(n).omega

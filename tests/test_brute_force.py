@@ -3,11 +3,21 @@ import tracemalloc
 import pytest
 
 from schur.automorphic import subgroup_lattice_size
-from schur.brute_force import _bits, brute_force_schur_rings, brute_force_subgroup_count
+import schur.brute_force
+from schur.brute_force import brute_force_schur_rings, brute_force_subgroup_count
 from schur.constructions import discrete_ring, trivial_ring, wedge_product, Section
 from schur.core import SchurPartition, _class_product, check_schur_axioms, is_schur_partition
 from schur.enumeration import enumerate_rings
 from schur.formulas import is_prime
+
+
+def _bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _subset_search(n):
@@ -113,10 +123,31 @@ def test_limit_enforced_and_forceable():
     assert len(rings) == 21
 
 
-def test_agreement_beyond_default_limit():
-    for n in range(15, 49):
+def _assert_oracle_matches_enumeration(monkeypatch, moduli):
+    # one leaf axiom check per ring pins the pruning as well as the output:
+    # a search that reached a complete partition it then rejected fails here
+    leaves = [0]
+
+    def counting(part):
+        leaves[0] += 1
+        return check_schur_axioms(part)
+
+    monkeypatch.setattr(schur.brute_force, "check_schur_axioms", counting)
+    for n in moduli:
+        leaves[0] = 0
         forced = brute_force_schur_rings(n, force=True)
         assert forced == enumerate_rings(n).rings, n
+        assert leaves[0] == len(forced), n
+
+
+def test_agreement_beyond_default_limit(monkeypatch):
+    # reaches n=60, where the enumerator builds one ring along two sections
+    _assert_oracle_matches_enumeration(monkeypatch, range(15, 61))
+
+
+@pytest.mark.slow
+def test_agreement_to_72(monkeypatch):
+    _assert_oracle_matches_enumeration(monkeypatch, range(61, 73))
 
 
 def test_agrees_with_subset_search_to_16():

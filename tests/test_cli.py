@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from schur.cli import main
+import schur.cli
+from schur.cli import _table_rows, main
 from schur.enumeration import enumerate_rings
 
 
@@ -94,6 +95,21 @@ def test_table_fourp(capsys):
         (76, 90),
         (92, 61),
     ]
+
+
+def test_table_rows_are_streamed(monkeypatch):
+    # the first row must come before the factoring of every later n
+    calls = [0]
+    factors = schur.cli.semiprime_factors
+
+    def limited(n):
+        calls[0] += 1
+        if calls[0] > 50:
+            raise AssertionError(f"factored n={n} before the first row was taken")
+        return factors(n)
+
+    monkeypatch.setattr(schur.cli, "semiprime_factors", limited)
+    assert next(iter(_table_rows("semiprime", 10**6))) == (6, 7)
 
 
 def test_table_semiprime_full(capsys):
