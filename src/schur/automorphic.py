@@ -8,10 +8,11 @@ rings: each subgroup acts on Z_n and its orbits form the partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd, prod
 from typing import Sequence
 
-from schur.core import SchurPartition, _integer
+from schur.core import SchurPartition, _integer, _numbered_partition
 from schur.formulas import factorize, subgroup_lattice_size
 
 __all__ = [
@@ -59,7 +60,7 @@ class UnitSubgroup:
 
 
 def unit_group(n: int) -> UnitGroup:
-    if n < 1:
+    if (n := _integer(n)) < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     if n == 1:
         return UnitGroup(1, (0,))
@@ -125,7 +126,8 @@ def _unit_axes(n: int) -> list[tuple[int, int]]:
     """(order, generator) pairs whose generators give (Z/nZ)^x as a direct product.
 
     Per prime power p^e of n: a primitive root for odd p; -1, and 5 when
-    e >= 3, for p = 2; each lifted by CRT to 1 mod n/p^e. Order-1 axes are left out.
+    e >= 3, for p = 2; each lifted by CRT to 1 mod n/p^e, then split into one
+    axis (r^f, g^(m/r^f)) per r^f || its order m. Orders are prime powers, by prime.
     """
     axes = []
     for p, e in factorize(n):
@@ -139,43 +141,53 @@ def _unit_axes(n: int) -> list[tuple[int, int]]:
             # a primitive root mod p^2 is one mod every p^e; g + p is one if g is not
             local = [((p - 1) * q // p, g + p if pow(g, p - 1, p * p) == 1 else g)]
         for m, g in local:
-            if m > 1:
-                # x = g mod q and x = 1 mod rest
-                axes.append((m, 1 + rest * ((g - 1) * pow(rest, -1, q) % q)))
-    return axes
+            # x = g mod q and x = 1 mod rest
+            x = 1 + rest * ((g - 1) * pow(rest, -1, q) % q)
+            axes += [(r, r**f, pow(x, m // r**f, n)) for r, f in factorize(m)]
+    return [(m, g) for _, m, g in sorted(axes)]
+
+
+def _lattice_subgroup(n: int, elements: tuple[int, ...]) -> UnitSubgroup:
+    """UnitSubgroup(n, elements) minus its checks, which all_subgroups meets by construction."""
+    h = object.__new__(UnitSubgroup)
+    vars(h).update(n=n, elements=elements)
+    return h
 
 
 def all_subgroups(u: UnitGroup) -> tuple[UnitSubgroup, ...]:
-    """Every subgroup of the unit group, each exactly once.
+    """Every subgroup of the unit group, each once, ordered by size, then by elements.
 
-    The lattice routine runs on the cyclic axes of _unit_axes(n), and each
-    mask is read through the units listed by mixed-radix index. Output is
-    ordered by size, then by element list. u must equal unit_group(u.n).
+    U is the direct sum of its Sylow subgroups U_r, and a subgroup H is that of the H & U_r
+    (the r-part of h in H is a power of h), so each H is the product set of one subgroup per
+    U_r, in exactly one way. The lattice routine runs on each U_r's axes, its masks read
+    through U_r's units by mixed-radix index. u must equal unit_group(u.n).
     """
     n = u.n
     if u != unit_group(n):
         raise ValueError(f"not the unit group mod {n}")
-    axes = _unit_axes(n)
-    units = [1 % n]
-    for m, g in axes:
-        units = [x * pow(g, c, n) % n for x in units for c in range(m)]
-    subs = []
-    for mask in _subgroup_lattice([m for m, _ in axes]):
-        bits = bin(mask)[:1:-1]
-        subs.append(UnitSubgroup(n, tuple(sorted(x for x, b in zip(units, bits) if b == "1"))))
-    subs.sort(key=lambda h: (len(h.elements), h.elements))
-    return tuple(subs)
+    subs = [[1 % n]]
+    for _, axes in groupby(_unit_axes(n), key=lambda axis: factorize(axis[0])[0][0]):
+        units, orders = [1], []
+        for m, g in axes:
+            units = [x * pow(g, c, n) % n for x in units for c in range(m)]
+            orders.append(m)
+        local = [[x for x, b in zip(units, bin(mask)[:1:-1]) if b == "1"]
+                 for mask in _subgroup_lattice(orders)]
+        subs = [[x * y % n for x in a for y in b] for a in subs for b in local]
+    subgroups = sorted((tuple(sorted(h)) for h in subs), key=lambda h: (len(h), h))
+    return tuple(_lattice_subgroup(n, h) for h in subgroups)
 
 
 def orbit_partition(h: UnitSubgroup) -> SchurPartition:
-    """Partition of Z_n into orbits of x -> u*x for u in the subgroup."""
+    """Orbits of x -> u*x (u in h) on Z_n, labelled as met, so in first-occurrence order."""
     n = h.n
-    labels = [-1] * n
+    labels, count = [-1] * n, 0
     for x in range(n):
         if labels[x] < 0:
             for u in h.elements:
-                labels[(x * u) % n] = x
-    return SchurPartition(tuple(labels))
+                labels[x * u % n] = count
+            count += 1
+    return _numbered_partition(tuple(labels))
 
 
 def automorphic_rings(n: int) -> tuple[SchurPartition, ...]:
@@ -189,25 +201,16 @@ def automorphic_rings(n: int) -> tuple[SchurPartition, ...]:
 
 
 def aut_subgroup_count(n: int) -> int:
-    """Size of the subgroup lattice of Aut(Z_n).
+    """Size of the subgroup lattice of Aut(Z_n), a product over its Sylow subgroups.
 
-    Works whenever every primary component of the (abelian) automorphism
-    group has rank at most two, which covers n prime, semiprime, and 4p.
+    Each Sylow r-subgroup is Z_{r^e1} x ... x Z_{r^et}, read off the r-axes of
+    _unit_axes(n). Works when every t <= 2, which covers n prime, semiprime, and 4p.
     """
-    counts = []
-    factors = [m for m, _ in _unit_axes(n)]
-    primes = sorted({r for f in factors for r, _ in factorize(f)})
-    for r in primes:
-        exponents = sorted(
-            (dict(factorize(f)).get(r, 0) for f in factors), reverse=True
-        )
-        exponents = [e for e in exponents if e > 0]
-        if len(exponents) > 2:
-            raise ValueError(
-                f"Aut(Z_{n}) has {r}-rank {len(exponents)} > 2; "
-                "no closed form implemented"
-            )
-        k = exponents[0]
-        ell = exponents[1] if len(exponents) == 2 else 0
-        counts.append(subgroup_lattice_size(r, k, ell))
-    return prod(counts) if counts else 1
+    exponents: dict[int, list[int]] = {}
+    for m, _ in _unit_axes(n):
+        ((r, e),) = factorize(m)
+        exponents.setdefault(r, []).append(e)
+    for r, es in exponents.items():
+        if len(es) > 2:
+            raise ValueError(f"Aut(Z_{n}) has {r}-rank {len(es)} > 2; no closed form implemented")
+    return prod(subgroup_lattice_size(r, *(es + [0])[:2]) for r, es in exponents.items())

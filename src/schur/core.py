@@ -145,6 +145,13 @@ class SchurPartition:
         return self.to_text()
 
 
+def _numbered_partition(labels: tuple[int, ...]) -> SchurPartition:
+    """SchurPartition(labels) unrenumbered. Callers pass non-empty first-occurrence labels only."""
+    p = object.__new__(SchurPartition)
+    vars(p)["labels"] = labels
+    return p
+
+
 def _splits_along(labels: tuple[int, ...], k: int, h: int) -> bool:
     """True when every class outside the order-h subgroup is a union of order-k cosets.
 

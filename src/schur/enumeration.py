@@ -21,7 +21,7 @@ from schur.constructions import (
     wedge_core,
     wedge_product,
 )
-from schur.core import SchurPartition, quotient, restrict, s_subgroups
+from schur.core import SchurPartition, _integer, quotient, restrict, s_subgroups
 from schur.formulas import divisors
 
 __all__ = [
@@ -131,7 +131,7 @@ def enumerate_rings(n: int) -> EnumerationResult:
     the core of S, which the memoized result for h holds. A ring no wedge
     built is indecomposable, as the pairing is complete, and is its own core.
     """
-    if n < 1:
+    if (n := _integer(n)) < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     cached = _CACHE.get(n)
     if cached is not None:

@@ -15,7 +15,7 @@ from schur.automorphic import (
     unit_group,
 )
 from schur.brute_force import brute_force_subgroup_count
-from schur.core import is_schur_partition
+from schur.core import SchurPartition, is_schur_partition
 from schur.formulas import (
     divisor_count,
     euler_phi,
@@ -152,6 +152,33 @@ def all_subgroups_by_callback(u):
     return tuple(subs)
 
 
+def all_subgroups_one_lattice(u):
+    """Reference: one join closure over every axis of the unit group at once,
+    each subgroup checked by the UnitSubgroup constructor."""
+    n = u.n
+    axes = _unit_axes(n)
+    units = [1 % n]
+    for m, g in axes:
+        units = [x * pow(g, c, n) % n for x in units for c in range(m)]
+    subs = []
+    for mask in _subgroup_lattice([m for m, _ in axes]):
+        bits = bin(mask)[:1:-1]
+        subs.append(UnitSubgroup(n, tuple(sorted(x for x, b in zip(units, bits) if b == "1"))))
+    subs.sort(key=lambda h: (len(h.elements), h.elements))
+    return tuple(subs)
+
+
+def orbit_partition_by_least_member(h):
+    """Reference: each orbit keyed on its least member, renumbered by the constructor."""
+    n = h.n
+    labels = [-1] * n
+    for x in range(n):
+        if labels[x] < 0:
+            for u in h.elements:
+                labels[(x * u) % n] = x
+    return SchurPartition(tuple(labels))
+
+
 def mask_members(mask):
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -191,8 +218,35 @@ def test_all_subgroups_matches_pair_closure_reference():
         assert all_subgroups(u) == all_subgroups_by_callback(u), n
 
 
+def test_all_subgroups_matches_one_lattice_reference():
+    # the product of per-prime lattices against one lattice over the whole group
+    u = unit_group(840)
+    assert all_subgroups(u) == all_subgroups_one_lattice(u)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [1008, 1680, 2520])
+def test_all_subgroups_matches_one_lattice_reference_at_larger_n(n):
+    u = unit_group(n)
+    assert all_subgroups(u) == all_subgroups_one_lattice(u), n
+
+
+def test_trusted_constructors_match_the_checked_ones():
+    # all_subgroups skips UnitSubgroup's checks and orbit_partition skips the
+    # renumbering; rebuilding each through the public constructor re-runs them
+    for n in [*range(1, 201), 240, 480, 720, 840]:
+        for h in all_subgroups(unit_group(n)):
+            assert h == UnitSubgroup(n, h.elements), (n, h)
+            p = orbit_partition(h)
+            assert p == orbit_partition_by_least_member(h), (n, h)
+            assert SchurPartition(p.labels).labels == p.labels, (n, h)
+
+
 def check_axis_orders(n, axes):
     assert prod(m for m, _ in axes) == euler_phi(n), n
+    # prime-power orders, ordered by prime: all_subgroups groups them by prime
+    primes = [p for m, _ in axes for p, _ in factorize(m)]
+    assert len(primes) == len(axes) and primes == sorted(primes), (n, axes)
     for m, g in axes:
         assert m > 1 and gcd(g, n) == 1, (n, m, g)
         # g has order exactly m: g^m = 1 and g^(m/p) != 1 for each prime p | m
@@ -320,6 +374,20 @@ def test_aut_subgroup_count_matches_closure_enumeration_for_semiprimes():
     four_p = [4 * p for p in range(3, 51) if is_prime(p)]
     for n in [m for m in range(2, 101) if semiprime_factors(m) is not None] + four_p:
         assert aut_subgroup_count(n) == len(all_subgroups(unit_group(n))), n
+
+
+def test_aut_subgroup_count_over_its_whole_domain():
+    # the closed form either matches the lattice or refuses, naming the rank
+    refused = []
+    for n in range(1, 1001):
+        try:
+            count = aut_subgroup_count(n)
+        except ValueError as err:
+            assert "rank" in str(err), n
+            refused.append(n)
+        else:
+            assert count == len(all_subgroups(unit_group(n))), n
+    assert len(refused) == 253 and refused[:3] == [24, 40, 48]
 
 
 def test_aut_subgroup_count_rejects_high_rank():

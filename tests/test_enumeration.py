@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from schur.automorphic import orbit_partition, unit_group, UnitSubgroup
 from schur.brute_force import brute_force_schur_rings
 from schur.constructions import discrete_ring, is_wedge_decomposable, trivial_ring
@@ -131,6 +133,18 @@ def test_indecomposable_matches_direct_scan():
             not is_wedge_decomposable(r) for r in enumerate_rings(n).rings
         )
         assert indecomposable_count(n) == direct
+
+
+def test_non_integer_modulus_is_refused_after_a_warm_memo():
+    # 4.0 == 4 hashes alike, so a memo lookup before the check answered it
+    enumerate_rings(4)
+    for call, bad, shown in (
+        (enumerate_rings, 4.0, "4.0"),
+        (enumerate_rings, "4", "'4'"),
+        (unit_group, 6.0, "6.0"),
+    ):
+        with pytest.raises(ValueError, match=f"expected an integer, got {shown}"):
+            call(bad)
 
 
 def test_oracle_agreement_small():
