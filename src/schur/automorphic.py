@@ -12,7 +12,7 @@ from itertools import groupby
 from math import gcd, prod
 from typing import Sequence
 
-from schur.core import SchurPartition, _integer, _numbered_partition
+from schur.core import SchurPartition, _from_ints, _integer
 from schur.formulas import factorize, subgroup_lattice_size
 
 __all__ = [
@@ -179,25 +179,25 @@ def all_subgroups(u: UnitGroup) -> tuple[UnitSubgroup, ...]:
 
 
 def orbit_partition(h: UnitSubgroup) -> SchurPartition:
-    """Orbits of x -> u*x (u in h) on Z_n, labelled as met, so in first-occurrence order."""
+    """Orbits of x -> u*x (u in h) on Z_n, each labelled by its least member."""
     n = h.n
-    labels, count = [-1] * n, 0
+    labels = [-1] * n
     for x in range(n):
         if labels[x] < 0:
             for u in h.elements:
-                labels[x * u % n] = count
-            count += 1
-    return _numbered_partition(tuple(labels))
+                labels[x * u % n] = x
+    return _from_ints(labels)
 
 
 def automorphic_rings(n: int) -> tuple[SchurPartition, ...]:
-    """All automorphic Schur rings over Z_n, one per subgroup of the units.
+    """All automorphic Schur rings over Z_n, one per subgroup of the units, sorted by classes.
 
-    The orbit of 1 under a subgroup is the subgroup itself, so distinct
-    subgroups give distinct partitions.
+    For n >= 2, class 1 (after {0}) is the orbit of 1, the subgroup itself, so
+    distinct subgroups give distinct partitions that first differ in class 1:
+    sorting the subgroups by elements sorts the rings, building no classes.
     """
-    rings = map(orbit_partition, all_subgroups(unit_group(n)))
-    return tuple(sorted(rings, key=SchurPartition.sort_key))
+    subgroups = sorted(all_subgroups(unit_group(n)), key=lambda h: h.elements)
+    return tuple(map(orbit_partition, subgroups))
 
 
 def aut_subgroup_count(n: int) -> int:

@@ -18,8 +18,8 @@ from typing import Iterator
 
 from schur.automorphic import aut_subgroup_count
 from schur.brute_force import DEFAULT_SEARCH_LIMIT, brute_force_schur_rings
-from schur.core import check_schur_axioms
-from schur.enumeration import enumerate_rings
+from schur.core import SchurPartition, check_schur_axioms
+from schur.enumeration import EnumerationResult, enumerate_rings
 from schur.formulas import (
     count_4p,
     count_prime,
@@ -94,10 +94,27 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_pieces(result: EnumerationResult) -> Iterator[str]:
+    """The compact JSON of result.to_json_dict(), one piece per ring, tag set and census entry."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    tags = {t: encode(sorted(t)) for t in set(result.tags)}  # at most 16 distinct sets
+    census = ({"core": c.to_json_dict(), "order": c.n, "count": k} for c, k in result.core_census)
+    yield f'{{"n":{result.n},"omega":{result.omega}'
+    for name, pieces in [
+        ("rings", map(encode, map(SchurPartition.to_json_dict, result.rings))),
+        ("tags", map(tags.__getitem__, result.tags)),
+        ("core_census", map(encode, census)),
+    ]:
+        yield f',"{name}":['
+        yield from ("," * bool(i) + piece for i, piece in enumerate(pieces))
+        yield "]"
+    yield "}\n"
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     result = enumerate_rings(args.n)
     if args.json:
-        print(json.dumps(result.to_json_dict(), separators=(",", ":")))
+        sys.stdout.writelines(_json_pieces(result))
         return 0
     for ring, tags in zip(result.rings, result.tags):
         line = ring.to_text()

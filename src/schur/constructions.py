@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from schur.core import SchurPartition, quotient, restrict, s_subgroups
+from schur.core import SchurPartition, _from_ints, quotient, restrict, s_subgroups
 
 __all__ = [
     "Section",
@@ -46,12 +46,12 @@ def trivial_ring(n: int) -> SchurPartition:
     """The span of the identity and everything else: classes {0} and Z_n - {0}."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    return SchurPartition((0,) + (1,) * (n - 1))
+    return _from_ints([0] + [1] * (n - 1))
 
 
 def discrete_ring(n: int) -> SchurPartition:
     """The full group algebra: every residue is its own class."""
-    return SchurPartition(tuple(range(n)))
+    return _from_ints(list(range(n)))
 
 
 def direct_product(s: SchurPartition, t: SchurPartition) -> SchurPartition:
@@ -65,7 +65,7 @@ def direct_product(s: SchurPartition, t: SchurPartition) -> SchurPartition:
     if gcd(a, b) != 1:
         raise ValueError(f"moduli must be coprime, got {a} and {b}")
     sl, tl = s.labels, t.labels
-    return SchurPartition(tuple(sl[x % a] * b + tl[x % b] for x in range(a * b)))
+    return _from_ints([sl[x % a] * b + tl[x % b] for x in range(a * b)])
 
 
 def wedge_compatible(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> bool:
@@ -97,13 +97,12 @@ def wedge_product(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> S
             f"incompatible wedge: pushforward of the Z_{h} factor by {k} must "
             f"equal the restriction of the Z_{n // k} factor to {h // k}"
         )
-    m = n // k
     step_h = n // h
-    # outside H a residue takes the class of its image in T, offset past
-    # S's labels; inside H, the multiples of n/h, it takes its class in S
-    labels = [h + t.labels[x % m] for x in range(n)]
+    # outside H a residue x takes the class of x mod n/k in T, offset past
+    # S's labels (so below h + n/k <= n); inside H, the multiples of n/h, its class in S
+    labels = list(map(h.__add__, t.labels)) * k
     labels[::step_h] = s.labels
-    return SchurPartition(tuple(labels))
+    return _from_ints(labels)
 
 
 def find_wedge_section(p: SchurPartition) -> Section | None:

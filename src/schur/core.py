@@ -9,6 +9,7 @@ throughout: the subgroup of order d is the set of multiples of n/d.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +42,18 @@ def _integer(value: object) -> int:
         raise ValueError(f"expected an integer, got {value!r}") from None
 
 
+_BYTES = bytes(range(256))
+_FROM_KEY = _BYTES[255:] + _BYTES[:255]  # a one-byte sort key to members, 255 between classes
+
+
+def _grouped(labels: Sequence[int]) -> list[list[int]]:
+    """Each class's members x written as x + 1, ascending, the classes in label order."""
+    groups = [[] for _ in range(max(labels) + 1)]
+    for x, c in enumerate(labels, 1):
+        groups[c].append(x)
+    return groups
+
+
 @dataclass(frozen=True)
 class SchurPartition:
     """A partition of Z_n, the datum that pins down a Schur ring.
@@ -50,18 +63,36 @@ class SchurPartition:
     and renumbers them by first occurrence, so classes are numbered by least
     member and equal partitions compare and hash equal. A label vector is a
     partition by construction; sets of residues from outside go through
-    from_sets, which validates them.
+    from_sets, which validates them. labels is one bytes object when
+    n <= 256, else a memoryview(...).cast("H") over bytes holding two per
+    label; hashing uses those bytes. classes is decoded from sort_key() on
+    each access, not stored.
     """
 
-    labels: tuple[int, ...]
+    labels: bytes | memoryview
 
     def __post_init__(self) -> None:
-        if not self.labels:
-            raise ValueError("a partition of Z_n needs n >= 1 residues")
-        ids: dict = {}
-        object.__setattr__(
-            self, "labels", tuple([ids.setdefault(key, len(ids)) for key in self.labels])
-        )
+        keys = self.labels
+        if isinstance(keys, (bytes, bytearray)):
+            first = bytes(dict.fromkeys(keys))  # in C: the i-th distinct byte goes to i
+            raw = keys.translate(bytes.maketrans(first, _BYTES[: len(first)]))
+        else:
+            ids: dict = {}
+            raw = [ids.setdefault(key, len(ids)) for key in keys]
+        if not 0 < len(raw) < 1 << 16:  # a sort key writes n itself in two bytes
+            raise ValueError(f"a partition of Z_n needs 1 <= n <= 65535 residues, got {len(raw)}")
+        if len(raw) <= 256:
+            object.__setattr__(self, "labels", bytes(raw))
+        else:  # two bytes per label, in native order
+            wide = struct.pack(f"{len(raw)}H", *raw)
+            object.__setattr__(self, "labels", memoryview(wide).cast("H"))
+
+    def __hash__(self) -> int:
+        labels = self.labels  # hashed as the stored bytes
+        return hash(labels if type(labels) is bytes else labels.obj)
+
+    def __reduce__(self) -> tuple:
+        return SchurPartition, (list(self.labels),)  # a memoryview does not pickle
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SchurPartition":
@@ -87,22 +118,41 @@ class SchurPartition:
         missing = labels.count(-1)
         if missing:
             raise ValueError(f"classes cover {n - missing} of {n} residues")
-        return cls(tuple(labels))
+        return _from_ints(labels)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     @cached_property
+    def _key(self) -> bytes:
+        groups = _grouped(self.labels)
+        if self.n <= 254:
+            return b"\0".join(map(bytes, groups))
+        return b"\0\0".join(struct.pack(f">{len(g)}H", *g) for g in groups)
+
+    def sort_key(self) -> bytes:
+        """The classes in least-member order, member x as x + 1, ascending, classes split by 0.
+
+        Values take one byte when n <= 254, else two, big-endian. For one n,
+        byte order of keys is tuple order of classes: equal leading classes
+        give equal bytes, and the first difference falls inside the first
+        class that differs. There a smaller member gives a smaller value, and
+        a class that ends first puts a 0 (or the key's end) against a member
+        x + 1 >= 1, as a shorter prefix sorts first among tuples. Cached.
+        """
+        return self._key
+
+    def _members(self) -> list[Sequence[int]]:
+        # the classes as ascending member sequences, ordered by least member
+        if self.n <= 254:
+            return self._key.translate(_FROM_KEY).split(b"\xff")
+        return [[x - 1 for x in g] for g in _grouped(self.labels)]
+
+    @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """The classes as ascending member tuples, ordered by least member."""
-        out: list[list[int]] = []
-        for x, i in enumerate(self.labels):
-            if i == len(out):
-                out.append([x])
-            else:
-                out[i].append(x)
-        return tuple(map(tuple, out))
+        return tuple(map(tuple, self._members()))
 
     @cached_property
     def _subgroup_orders(self) -> tuple[int, ...]:
@@ -121,21 +171,19 @@ class SchurPartition:
         # splits as a wedge, k ascending, then h
         n = self.n
         subs = self._subgroup_orders
+        labels = self.labels
         return tuple(
             (k, h)
             for k in subs
             for h in subs
-            if 1 < k <= h < n and h % k == 0 and _splits_along(self.labels, k, h)
+            if 1 < k <= h < n and h % k == 0 and _splits_along(labels, k, h)
         )
 
-    def sort_key(self) -> tuple[tuple[int, ...], ...]:
-        return self.classes
-
     def to_text(self) -> str:
-        return _braced(map(_braced, self.classes))
+        return _braced(map(_braced, self._members()))
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "classes": [list(c) for c in self.classes]}
+        return {"n": self.n, "classes": [list(c) for c in self._members()]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SchurPartition":
@@ -145,25 +193,24 @@ class SchurPartition:
         return self.to_text()
 
 
-def _numbered_partition(labels: tuple[int, ...]) -> SchurPartition:
-    """SchurPartition(labels) unrenumbered. Callers pass non-empty first-occurrence labels only."""
-    p = object.__new__(SchurPartition)
-    vars(p)["labels"] = labels
-    return p
+def _from_ints(labels: list[int]) -> SchurPartition:
+    """SchurPartition(labels) for labels in 0..n-1, passed as bytes when they fit in one."""
+    return SchurPartition(bytes(labels) if len(labels) <= 256 else labels)
 
 
-def _splits_along(labels: tuple[int, ...], k: int, h: int) -> bool:
+def _splits_along(labels: Sequence[int], k: int, h: int) -> bool:
     """True when every class outside the order-h subgroup is a union of order-k cosets.
 
     With that subgroup a union of classes, this says each x outside it shares
     its class with x + n/k. The coset r, r + n/h, r + 2n/h, ... holds x + n/k
-    h/k places after x, so each coset is compared with its rotation.
+    h/k places after x, so each coset's labels must have period h/k; h/k
+    divides the coset's length h, so that makes them invariant under rotation.
     """
     step_h = len(labels) // h
     shift = h // k
     for r in range(1, step_h):
         row = labels[r::step_h]
-        if row[shift:] + row[:shift] != row:
+        if row[shift:] != row[:-shift]:
             return False
     return True
 
@@ -241,7 +288,7 @@ def _signature(row: list[int], members: Iterable[int]) -> list[int]:
     return sig
 
 
-def _products_constant(labels: tuple[int, ...], classes: Sequence[Sequence[int]]) -> bool:
+def _products_constant(labels: Sequence[int], classes: Sequence[Sequence[int]]) -> bool:
     """True when every product of two class sums is constant on every class.
 
     The coefficient of a*b at g counts the x in a with g - x in b, so this
@@ -278,15 +325,18 @@ def check_schur_axioms(p: SchurPartition) -> AxiomViolation | None:
     """
     n = p.n
     labels = p.labels
-    classes = p.classes
+    classes = p._members()
     if len(classes[0]) != 1:
         return AxiomViolation(1, f"class containing 0 is {_braced(classes[0])}, not {{0}}")
-    for c in classes:
-        star = labels[-c[0] % n]
-        if len(classes[star]) != len(c) or any(labels[-x % n] != star for x in c):
-            return AxiomViolation(
-                2, f"{_braced(c)}* = {_braced(sorted(-x % n for x in c))} is not a class"
-            )
+    # given axiom 1, every c* is a class iff the pairs (class of x, class of -x), x != 0,
+    # number one per class other than {0}
+    if len(set(zip(labels[1:], labels[:0:-1]))) != len(classes) - 1:
+        for c in classes:
+            star = labels[-c[0] % n]
+            if len(classes[star]) != len(c) or any(labels[-x % n] != star for x in c):
+                return AxiomViolation(
+                    2, f"{_braced(c)}* = {_braced(sorted(-x % n for x in c))} is not a class"
+                )
     if _products_constant(labels, classes):
         return None
     sizes = [len(c) for c in classes]
@@ -337,7 +387,8 @@ def quotient(p: SchurPartition, k: int) -> SchurPartition:
     if k not in s_subgroups(p):
         raise ValueError(f"order-{k} subgroup is not an S-subgroup of the partition")
     m = p.n // k
-    keys = [frozenset(p.labels[r::m]) for r in range(m)]
-    if sum(map(len, set(keys))) != max(p.labels) + 1:
+    labels = p.labels
+    keys = [frozenset(labels[r::m]) for r in range(m)]
+    if sum(map(len, set(keys))) != max(labels) + 1:
         raise ValueError(f"class images under x -> x mod {m} are not equal-or-disjoint")
-    return SchurPartition(tuple(keys))
+    return SchurPartition(keys)

@@ -10,6 +10,7 @@ closed-form counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 FAMILY_TAGS = ("trivial", "automorphic", "direct", "wedge")
+# bit i of a family mask is FAMILY_TAGS[i]; a ring's tags are one of these 16 shared sets
+_TAG_SETS = [frozenset(t for i, t in enumerate(FAMILY_TAGS) if m >> i & 1) for m in range(16)]
 
 
 @dataclass(frozen=True)
@@ -137,19 +140,19 @@ def enumerate_rings(n: int) -> EnumerationResult:
     if cached is not None:
         return cached
 
-    found: dict[SchurPartition, set[str]] = {}
+    found: dict[SchurPartition, int] = {}  # ring -> family mask
     cores: dict[SchurPartition, SchurPartition] = {}
 
-    def add(ring: SchurPartition, tag: str) -> None:
-        found.setdefault(ring, set()).add(tag)
+    def add(ring: SchurPartition, bit: int) -> None:
+        found[ring] = found.get(ring, 0) | bit
 
-    add(trivial_ring(n), "trivial")
+    add(trivial_ring(n), 1)
     for ring in automorphic_rings(n):
-        add(ring, "automorphic")
+        add(ring, 2)
     for a, b in _coprime_splits(n):
         for s in enumerate_rings(a).rings:
             for t in enumerate_rings(b).rings:
-                add(direct_product(s, t), "direct")
+                add(direct_product(s, t), 4)
     for k, h in _proper_sections(n):
         hk = h // k
         below = enumerate_rings(h)
@@ -166,15 +169,13 @@ def enumerate_rings(n: int) -> EnumerationResult:
         for s, pushed, core in lefts:
             for t in rights.get(pushed, ()):
                 ring = wedge_product(s, t, section, n)
-                add(ring, "wedge")
+                add(ring, 8)
                 cores[ring] = core
 
     rings = tuple(sorted(found, key=SchurPartition.sort_key))
-    tags = tuple(frozenset(found[r]) for r in rings)
+    tags = tuple(_TAG_SETS[found[r]] for r in rings)
     ring_cores = tuple(cores[r] if r in cores else wedge_core(r) for r in rings)
-    census: dict[SchurPartition, int] = {}
-    for core in ring_cores:
-        census[core] = census.get(core, 0) + 1
+    census = Counter(ring_cores)
     census_items = tuple(
         sorted(census.items(), key=lambda item: (item[0].n, item[0].sort_key()))
     )

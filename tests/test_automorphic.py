@@ -339,6 +339,14 @@ def test_larger_subgroup_gives_coarser_partition():
                         assert len({coarse.labels[x] for x in c}) == 1
 
 
+def test_automorphic_rings_come_in_classes_order():
+    # sorting the subgroups by elements sorts their orbit partitions by classes
+    for n in [*range(1, 301), 840]:
+        rings = automorphic_rings(n)
+        classes = [r.classes for r in rings]
+        assert classes == sorted(set(classes)), n
+
+
 def test_automorphic_rings_counts():
     assert len(automorphic_rings(21)) == 10
     assert len(automorphic_rings(3)) == 2

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import schur.cli
-from schur.cli import _table_rows, main
+from schur.cli import _json_pieces, _table_rows, main
 from schur.enumeration import enumerate_rings
 
 
@@ -49,6 +49,26 @@ def test_enumerate_json(capsys):
     data = json.loads(out)
     assert data["n"] == 1 and data["omega"] == 1
     assert data["rings"] == [{"n": 1, "classes": [[0]]}]
+
+
+def test_enumerate_json_is_written_ring_by_ring():
+    # the streamed record is the one-shot dump, in one piece per ring, tag set and census entry
+    for n in (1, 12, 48, 257):
+        result = enumerate_rings(n)
+        record = {
+            "n": n,
+            "omega": result.omega,
+            "rings": [r.to_json_dict() for r in result.rings],
+            "tags": [sorted(t) for t in result.tags],
+            "core_census": [
+                {"core": core.to_json_dict(), "order": core.n, "count": count}
+                for core, count in result.core_census
+            ],
+        }
+        pieces = list(_json_pieces(result))
+        assert "".join(pieces) == json.dumps(record, separators=(",", ":")) + "\n"
+        assert len(pieces) == 2 * result.omega + len(result.core_census) + 8
+        assert result.to_json_dict() == record
 
 
 def test_enumerate_tags_and_cores(capsys):

@@ -1,3 +1,7 @@
+import copy
+import pickle
+import random
+
 import pytest
 
 from schur.automorphic import orbit_partition, unit_group, UnitSubgroup
@@ -251,7 +255,7 @@ def test_subset_validation():
 def test_partition_canonical_order():
     p = SchurPartition.from_sets(6, [{3, 4}, {0}, {1, 2, 5}])
     assert p.classes == ((0,), (1, 2, 5), (3, 4))
-    assert p.labels == (0, 1, 1, 2, 2, 1)
+    assert tuple(p.labels) == (0, 1, 1, 2, 2, 1)
     q = SchurPartition.from_sets(6, [{1, 2, 5}, {4, 3}, {0}])
     assert p == q and hash(p) == hash(q)
     # any per-residue keys are renumbered by first occurrence
@@ -354,3 +358,94 @@ def test_json_round_trip():
 def test_text_rendering():
     p = SchurPartition.from_sets(4, [{0}, {2}, {1, 3}])
     assert p.to_text() == "{{0},{1,3},{2}}"
+
+
+def _grouped_by_label(p):
+    # the classes read straight off the labels, as the constructor numbers them
+    classes = {}
+    for x, c in enumerate(p.labels):
+        classes.setdefault(c, []).append(x)
+    return tuple(tuple(classes[c]) for c in sorted(classes))
+
+
+def _partitions_sharing_prefixes(rng, n, count):
+    """Random partitions of Z_n and one-residue edits of them, which share leading classes."""
+    base = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    out = [SchurPartition(base)]
+    for _ in range(count):
+        edited = list(base)
+        edited[rng.randrange(n)] = rng.choice([n, rng.randrange(n)])
+        out.append(SchurPartition(edited))
+    return out
+
+
+def test_sort_key_orders_as_classes():
+    # byte order of sort_key() is tuple order of classes, for one-byte keys
+    # (n <= 254) and two-byte big-endian keys
+    rng = random.Random(2024)
+    for n in [*range(1, 61), *range(250, 321)]:
+        for _ in range(3):
+            batch = _partitions_sharing_prefixes(rng, n, 8)
+            by_key = sorted(batch, key=SchurPartition.sort_key)
+            assert [p.classes for p in by_key] == sorted(p.classes for p in batch), n
+            assert len({p.sort_key() for p in batch}) == len(set(batch))
+    from schur.enumeration import enumerate_rings
+
+    for n in range(1, 65):
+        classes = [r.classes for r in enumerate_rings(n).rings]
+        assert classes == sorted(classes), n
+
+
+@pytest.mark.parametrize("n", [1, 12, 254, 255, 256, 257, 300])
+def test_labels_are_bytes_of_the_width_n_needs(n):
+    rng = random.Random(n)
+    for p in [
+        discrete_ring(n),
+        trivial_ring(n),
+        SchurPartition([rng.randrange(n // 3 + 1) for _ in range(n)]),
+    ]:
+        labels = p.labels
+        assert len(labels) == p.n == n
+        assert isinstance(labels, bytes) if n <= 256 else labels.itemsize == 2
+        assert all(type(labels[x]) is int for x in (0, n // 2, n - 1))
+        assert SchurPartition(labels) == p and hash(SchurPartition(list(labels))) == hash(p)
+        assert p.classes == _grouped_by_label(p)
+        assert SchurPartition.from_json_dict(p.to_json_dict()) == p
+        assert pickle.loads(pickle.dumps(p)) == p and copy.deepcopy(p) == p
+        assert is_schur_partition(p) == (check_schur_axioms(p) is None)
+
+
+def test_wide_constructions_at_300():
+    # every constructor emits two-byte labels above n = 256
+    s, t = discrete_ring(150), discrete_ring(150)
+    wedge = wedge_product(s, t, Section(2, 150), 300)  # labels 150 + t's run past 255
+    product = direct_product(discrete_ring(4), trivial_ring(75))
+    for p, classes in [
+        (discrete_ring(300), 300),
+        (trivial_ring(300), 2),
+        (product, 8),
+        (wedge, 150 + 75),
+        (orbit_partition(UnitSubgroup(300, (1, 299))), 151),
+    ]:
+        assert p.n == 300 and p.labels.itemsize == 2
+        assert len(p.classes) == classes and p.classes == _grouped_by_label(p)
+        assert SchurPartition(p.labels) == p
+        assert SchurPartition.from_json_dict(p.to_json_dict()) == p
+        assert is_schur_partition(p)
+    assert restrict(wedge, 150) == s and quotient(wedge, 2) == t
+    assert restrict(product, 4) == discrete_ring(4) and restrict(product, 75) == trivial_ring(75)
+    assert quotient(product, 4) == trivial_ring(75) and quotient(product, 75) == discrete_ring(4)
+    assert restrict(discrete_ring(600), 300) == discrete_ring(300)
+    assert quotient(discrete_ring(600), 2) == discrete_ring(300)
+
+
+def test_byte_keys_renumber_as_any_keys():
+    # bytes take the renumbering done in C, other keys the general one
+    assert SchurPartition(b"\x07\x03\x07\xff") == SchurPartition([0, 1, 0, 2])
+    assert SchurPartition(bytearray(b"ab")) == discrete_ring(2)
+    # above 256 bytes are keys, not a raw buffer
+    assert SchurPartition(bytes(300)) == SchurPartition([0] * 300)
+    assert SchurPartition(b"\x01" + bytes(299)) == trivial_ring(300)
+    assert discrete_ring(65535).sort_key()[-2:] == b"\xff\xff"
+    with pytest.raises(ValueError):
+        trivial_ring(65536)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -292,3 +296,26 @@ def test_canonical_sections_cut_wedge_builds(monkeypatch):
     # pairing 6,378 wedges in all, sub-moduli included)
     wedge_tagged = sum("wedge" in t for t in result.tags)
     assert calls.count(48) == wedge_tagged == 1019
+
+
+@pytest.mark.slow
+def test_cold_enumeration_at_144_stays_small():
+    # one byte per label and one cached sort key per ring, no class tuples:
+    # about 33 MiB peak RSS, where tuple labels and cached classes took 110
+    script = (
+        "import resource, sys\n"
+        "from schur.enumeration import enumerate_rings\n"
+        "assert enumerate_rings(144).omega == 21451\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak / 2**20 if sys.platform == 'darwin' else peak / 2**10)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    assert float(out.stdout) <= 50, out.stdout
