@@ -12,7 +12,7 @@ from itertools import groupby
 from math import gcd, prod
 from typing import Sequence
 
-from schur.core import SchurPartition, _from_ints, _integer
+from schur.core import SchurPartition, _integer
 from schur.formulas import factorize, subgroup_lattice_size
 
 __all__ = [
@@ -186,7 +186,7 @@ def orbit_partition(h: UnitSubgroup) -> SchurPartition:
         if labels[x] < 0:
             for u in h.elements:
                 labels[x * u % n] = x
-    return _from_ints(labels)
+    return SchurPartition(labels)
 
 
 def automorphic_rings(n: int) -> tuple[SchurPartition, ...]:

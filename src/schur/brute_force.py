@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterator
 
 from schur.automorphic import _subgroup_lattice
-from schur.core import SchurPartition, _signature, check_schur_axioms
+from schur.core import SchurPartition, _integer, _signature, check_schur_axioms
 from schur.formulas import is_prime
 
 __all__ = [
@@ -64,7 +64,7 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
     under 0.1 s for every n <= 32, 0.6-0.9 s at n=48 and 2.0-2.7 s at n=60. Moduli
     above DEFAULT_SEARCH_LIMIT (14) are refused unless force=True.
     """
-    if n < 1:
+    if (n := _integer(n)) < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     if n > DEFAULT_SEARCH_LIMIT and not force:
         raise ValueError(

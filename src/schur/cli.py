@@ -95,7 +95,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _json_pieces(result: EnumerationResult) -> Iterator[str]:
-    """The compact JSON of result.to_json_dict(), one piece per ring, tag set and census entry."""
+    """The compact `enumerate --json` record, one piece per ring, tag set and census entry."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     tags = {t: encode(sorted(t)) for t in set(result.tags)}  # at most 16 distinct sets
     census = ({"core": c.to_json_dict(), "order": c.n, "count": k} for c, k in result.core_census)

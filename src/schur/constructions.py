@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from schur.core import SchurPartition, _from_ints, quotient, restrict, s_subgroups
+from schur.core import SchurPartition, _integer, quotient, restrict, s_subgroups
 
 __all__ = [
     "Section",
@@ -44,14 +44,14 @@ class Section:
 
 def trivial_ring(n: int) -> SchurPartition:
     """The span of the identity and everything else: classes {0} and Z_n - {0}."""
-    if n < 1:
+    if (n := _integer(n)) < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    return _from_ints([0] + [1] * (n - 1))
+    return SchurPartition([0] + [1] * (n - 1))
 
 
 def discrete_ring(n: int) -> SchurPartition:
     """The full group algebra: every residue is its own class."""
-    return _from_ints(list(range(n)))
+    return SchurPartition(list(range(_integer(n))))
 
 
 def direct_product(s: SchurPartition, t: SchurPartition) -> SchurPartition:
@@ -65,7 +65,7 @@ def direct_product(s: SchurPartition, t: SchurPartition) -> SchurPartition:
     if gcd(a, b) != 1:
         raise ValueError(f"moduli must be coprime, got {a} and {b}")
     sl, tl = s.labels, t.labels
-    return _from_ints([sl[x % a] * b + tl[x % b] for x in range(a * b)])
+    return SchurPartition([sl[x % a] * b + tl[x % b] for x in range(a * b)])
 
 
 def wedge_compatible(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> bool:
@@ -102,7 +102,7 @@ def wedge_product(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> S
     # S's labels (so below h + n/k <= n); inside H, the multiples of n/h, its class in S
     labels = list(map(h.__add__, t.labels)) * k
     labels[::step_h] = s.labels
-    return _from_ints(labels)
+    return SchurPartition(labels)
 
 
 def find_wedge_section(p: SchurPartition) -> Section | None:

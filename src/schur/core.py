@@ -63,36 +63,34 @@ class SchurPartition:
     and renumbers them by first occurrence, so classes are numbered by least
     member and equal partitions compare and hash equal. A label vector is a
     partition by construction; sets of residues from outside go through
-    from_sets, which validates them. labels is one bytes object when
-    n <= 256, else a memoryview(...).cast("H") over bytes holding two per
-    label; hashing uses those bytes. classes is decoded from sort_key() on
+    from_sets, which validates them. The one stored datum is a bytes object
+    holding one byte per label when n <= 256, else two in native order;
+    labels is that object, or above 256 a memoryview(...).cast("H") over it
+    made on each access. Equality and hashing are the dataclass's, on those
+    bytes; pickling is the default. classes is decoded from sort_key() on
     each access, not stored.
     """
 
-    labels: bytes | memoryview
+    _packed: bytes
 
     def __post_init__(self) -> None:
-        keys = self.labels
+        keys = self._packed
+        if type(keys) in (list, tuple) and 0 < len(keys) <= 256 and type(keys[0]) is int:
+            try:  # ints in 0..255 take the renumbering in C
+                keys = bytes(keys)
+            except (TypeError, ValueError):
+                pass
         if isinstance(keys, (bytes, bytearray)):
             first = bytes(dict.fromkeys(keys))  # in C: the i-th distinct byte goes to i
             raw = keys.translate(bytes.maketrans(first, _BYTES[: len(first)]))
         else:
             ids: dict = {}
             raw = [ids.setdefault(key, len(ids)) for key in keys]
-        if not 0 < len(raw) < 1 << 16:  # a sort key writes n itself in two bytes
-            raise ValueError(f"a partition of Z_n needs 1 <= n <= 65535 residues, got {len(raw)}")
-        if len(raw) <= 256:
-            object.__setattr__(self, "labels", bytes(raw))
-        else:  # two bytes per label, in native order
-            wide = struct.pack(f"{len(raw)}H", *raw)
-            object.__setattr__(self, "labels", memoryview(wide).cast("H"))
-
-    def __hash__(self) -> int:
-        labels = self.labels  # hashed as the stored bytes
-        return hash(labels if type(labels) is bytes else labels.obj)
-
-    def __reduce__(self) -> tuple:
-        return SchurPartition, (list(self.labels),)  # a memoryview does not pickle
+        n = len(raw)
+        if not 0 < n < 1 << 16:  # a sort key writes n itself in two bytes
+            raise ValueError(f"a partition of Z_n needs 1 <= n <= 65535 residues, got {n}")
+        packed = bytes(raw) if n <= 256 else struct.pack(f"{n}H", *raw)  # native order
+        object.__setattr__(self, "_packed", packed)
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SchurPartition":
@@ -118,16 +116,22 @@ class SchurPartition:
         missing = labels.count(-1)
         if missing:
             raise ValueError(f"classes cover {n - missing} of {n} residues")
-        return _from_ints(labels)
+        return cls(labels)
+
+    @property
+    def labels(self) -> bytes | memoryview:
+        packed = self._packed
+        return packed if len(packed) <= 256 else memoryview(packed).cast("H")
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        n = len(self._packed)
+        return n if n <= 256 else n // 2
 
     @cached_property
     def _key(self) -> bytes:
         groups = _grouped(self.labels)
-        if self.n <= 254:
+        if len(self._packed) <= 254:  # so n <= 254: above 256 it holds 2n bytes
             return b"\0".join(map(bytes, groups))
         return b"\0\0".join(struct.pack(f">{len(g)}H", *g) for g in groups)
 
@@ -145,7 +149,7 @@ class SchurPartition:
 
     def _members(self) -> list[Sequence[int]]:
         # the classes as ascending member sequences, ordered by least member
-        if self.n <= 254:
+        if len(self._packed) <= 254:
             return self._key.translate(_FROM_KEY).split(b"\xff")
         return [[x - 1 for x in g] for g in _grouped(self.labels)]
 
@@ -191,11 +195,6 @@ class SchurPartition:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def _from_ints(labels: list[int]) -> SchurPartition:
-    """SchurPartition(labels) for labels in 0..n-1, passed as bytes when they fit in one."""
-    return SchurPartition(bytes(labels) if len(labels) <= 256 else labels)
 
 
 def _splits_along(labels: Sequence[int], k: int, h: int) -> bool:
@@ -323,8 +322,8 @@ def check_schur_axioms(p: SchurPartition) -> AxiomViolation | None:
     Axiom 3 is decided by _products_constant; when it fails, a scan over
     pairs of classes names the first product not constant on a class.
     """
-    n = p.n
     labels = p.labels
+    n = len(labels)
     classes = p._members()
     if len(classes[0]) != 1:
         return AxiomViolation(1, f"class containing 0 is {_braced(classes[0])}, not {{0}}")
@@ -386,8 +385,8 @@ def quotient(p: SchurPartition, k: int) -> SchurPartition:
     """
     if k not in s_subgroups(p):
         raise ValueError(f"order-{k} subgroup is not an S-subgroup of the partition")
-    m = p.n // k
     labels = p.labels
+    m = len(labels) // k
     keys = [frozenset(labels[r::m]) for r in range(m)]
     if sum(map(len, set(keys))) != max(labels) + 1:
         raise ValueError(f"class images under x -> x mod {m} are not equal-or-disjoint")

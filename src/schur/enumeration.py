@@ -59,18 +59,6 @@ class EnumerationResult:
     def omega(self) -> int:
         return len(self.rings)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "omega": self.omega,
-            "rings": [r.to_json_dict() for r in self.rings],
-            "tags": [sorted(t) for t in self.tags],
-            "core_census": [
-                {"core": core.to_json_dict(), "order": core.n, "count": count}
-                for core, count in self.core_census
-            ],
-        }
-
 
 _CACHE: dict[int, EnumerationResult] = {}
 

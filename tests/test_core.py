@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from array import array
 
 import pytest
 
@@ -9,6 +10,7 @@ from schur.constructions import (
     Section,
     direct_product,
     discrete_ring,
+    find_wedge_section,
     trivial_ring,
     wedge_product,
 )
@@ -411,8 +413,17 @@ def test_labels_are_bytes_of_the_width_n_needs(n):
         assert SchurPartition(labels) == p and hash(SchurPartition(list(labels))) == hash(p)
         assert p.classes == _grouped_by_label(p)
         assert SchurPartition.from_json_dict(p.to_json_dict()) == p
-        assert pickle.loads(pickle.dumps(p)) == p and copy.deepcopy(p) == p
         assert is_schur_partition(p) == (check_schur_axioms(p) is None)
+        find_wedge_section(p)  # caches the S-subgroups and sections; classes cached the key
+        # the labels are held once, as bytes; a view over them is made on each access
+        assert not any(isinstance(v, memoryview) for v in vars(p).values())
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert q == p and hash(q) == hash(p) and q.labels == labels
+            assert not any(isinstance(v, memoryview) for v in vars(q).values())
+    # restriction and quotient leave the width n needs, down to one byte at order <= 256
+    for d in divisors(n):
+        assert restrict(discrete_ring(n), d) == discrete_ring(d)
+        assert quotient(discrete_ring(n), d) == discrete_ring(n // d)
 
 
 def test_wide_constructions_at_300():
@@ -441,11 +452,19 @@ def test_wide_constructions_at_300():
 
 def test_byte_keys_renumber_as_any_keys():
     # bytes take the renumbering done in C, other keys the general one
-    assert SchurPartition(b"\x07\x03\x07\xff") == SchurPartition([0, 1, 0, 2])
+    b_0102 = SchurPartition([0, 1, 0, 2])
+    assert SchurPartition(b"\x07\x03\x07\xff") == b_0102
     assert SchurPartition(bytearray(b"ab")) == discrete_ring(2)
     # above 256 bytes are keys, not a raw buffer
     assert SchurPartition(bytes(300)) == SchurPartition([0] * 300)
     assert SchurPartition(b"\x01" + bytes(299)) == trivial_ring(300)
+    # int lists and tuples up to 256 long take the C path only when every value fits a byte
+    assert SchurPartition([256, 3, 256, -1]) == SchurPartition((9, -3, 9, 1000)) == b_0102
+    assert SchurPartition([7, "a", 7, None]) == b_0102
+    # a buffer is read by item, never as raw memory
+    assert SchurPartition(array("H", [300, 7, 300, 1])) == b_0102
+    assert SchurPartition(memoryview(array("H", [1, 2, 1, 258]))) == b_0102
+    assert SchurPartition(discrete_ring(300).labels[::2]) == discrete_ring(150)
     assert discrete_ring(65535).sort_key()[-2:] == b"\xff\xff"
     with pytest.raises(ValueError):
         trivial_ring(65536)

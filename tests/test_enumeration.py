@@ -8,6 +8,7 @@ import pytest
 
 from schur.automorphic import orbit_partition, unit_group, UnitSubgroup
 from schur.brute_force import brute_force_schur_rings
+from schur.cli import _json_pieces
 from schur.constructions import discrete_ring, is_wedge_decomposable, trivial_ring
 from schur.core import canonical_encode, is_schur_partition
 from schur.enumeration import (
@@ -151,6 +152,13 @@ def test_non_integer_modulus_is_refused_after_a_warm_memo():
             call(bad)
 
 
+def test_constructors_refuse_a_non_integer_modulus():
+    # range() and list repetition raised TypeError on these, naming no value
+    for call, bad in ((trivial_ring, 4.0), (discrete_ring, 4.0), (brute_force_schur_rings, 6.0)):
+        with pytest.raises(ValueError, match=f"expected an integer, got {bad}"):
+            call(bad)
+
+
 def test_oracle_agreement_small():
     for n in range(1, 11):
         assert set(brute_force_schur_rings(n)) == set(enumerate_rings(n).rings)
@@ -171,8 +179,7 @@ def test_enumeration_scales_past_acceptance_range():
 
 
 def test_json_output_schema():
-    blob = json.dumps(enumerate_rings(6).to_json_dict())
-    data = json.loads(blob)
+    data = json.loads("".join(_json_pieces(enumerate_rings(6))))
     assert data["n"] == 6
     assert data["omega"] == 7
     assert len(data["rings"]) == 7
