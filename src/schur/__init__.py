@@ -1,121 +1,22 @@
-"""Exact construction, verification, and enumeration of Schur rings over Z_n."""
+"""Exact construction, verification, and enumeration of Schur rings over Z_n.
 
-from schur.automorphic import (
-    UnitGroup,
-    UnitSubgroup,
-    all_subgroups,
-    aut_subgroup_count,
-    automorphic_rings,
-    orbit_partition,
-    subgroup_lattice_size,
-    unit_group,
-)
-from schur.brute_force import (
-    DEFAULT_SEARCH_LIMIT,
-    brute_force_schur_rings,
-    brute_force_subgroup_count,
-)
-from schur.constructions import (
-    Section,
-    direct_product,
-    discrete_ring,
-    find_wedge_section,
-    is_wedge_decomposable,
-    trivial_ring,
-    wedge_compatible,
-    wedge_core,
-    wedge_product,
-)
-from schur.core import (
-    AxiomViolation,
-    SchurPartition,
-    canonical_decode,
-    canonical_encode,
-    check_schur_axioms,
-    is_schur_partition,
-    quotient,
-    restrict,
-    s_subgroups,
-)
-from schur.enumeration import (
-    EnumerationResult,
-    core_census,
-    enumerate_rings,
-    indecomposable_count,
-    ring_count,
-)
-from schur.formulas import (
-    FourPProfile,
-    SemiprimeProfile,
-    count_2p,
-    count_3p,
-    count_4p,
-    count_5p,
-    count_prime,
-    count_semiprime,
-    count_semiprime_split,
-    divisor_count,
-    divisors,
-    euler_phi,
-    factorize,
-    four_p_factor,
-    is_prime,
-    semiprime_factors,
-    two_adic_split,
-)
+The package exports exactly the names in its six modules' __all__ lists.
+"""
+
+from schur import automorphic, brute_force, constructions, core, enumeration, formulas
+from schur.automorphic import *  # noqa: F403
+from schur.brute_force import *  # noqa: F403
+from schur.constructions import *  # noqa: F403
+from schur.core import *  # noqa: F403
+from schur.enumeration import *  # noqa: F403
+from schur.formulas import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomViolation",
-    "DEFAULT_SEARCH_LIMIT",
-    "EnumerationResult",
-    "FourPProfile",
-    "SchurPartition",
-    "Section",
-    "SemiprimeProfile",
-    "UnitGroup",
-    "UnitSubgroup",
-    "all_subgroups",
-    "aut_subgroup_count",
-    "automorphic_rings",
-    "brute_force_schur_rings",
-    "brute_force_subgroup_count",
-    "canonical_decode",
-    "canonical_encode",
-    "check_schur_axioms",
-    "core_census",
-    "count_2p",
-    "count_3p",
-    "count_4p",
-    "count_5p",
-    "count_prime",
-    "count_semiprime",
-    "count_semiprime_split",
-    "direct_product",
-    "discrete_ring",
-    "divisor_count",
-    "divisors",
-    "enumerate_rings",
-    "euler_phi",
-    "factorize",
-    "find_wedge_section",
-    "four_p_factor",
-    "indecomposable_count",
-    "is_prime",
-    "is_schur_partition",
-    "is_wedge_decomposable",
-    "orbit_partition",
-    "quotient",
-    "restrict",
-    "ring_count",
-    "s_subgroups",
-    "semiprime_factors",
-    "subgroup_lattice_size",
-    "trivial_ring",
-    "two_adic_split",
-    "unit_group",
-    "wedge_compatible",
-    "wedge_core",
-    "wedge_product",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (automorphic, brute_force, constructions, core, enumeration, formulas)
+        for name in module.__all__
+    }
+)

@@ -19,7 +19,7 @@ from typing import Iterator
 from schur.automorphic import aut_subgroup_count
 from schur.brute_force import DEFAULT_SEARCH_LIMIT, brute_force_schur_rings
 from schur.core import SchurPartition, check_schur_axioms
-from schur.enumeration import EnumerationResult, enumerate_rings
+from schur.enumeration import EnumerationResult, enumerate_rings, ring_count
 from schur.formulas import (
     count_4p,
     count_prime,
@@ -89,7 +89,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             return 2
         value = len(brute_force_schur_rings(n, force=True))
     else:
-        value = enumerate_rings(n).omega
+        value = ring_count(n)
     print(f"Omega({n}) = {value} [{method}]")
     return 0
 
@@ -156,7 +156,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for n, value in _table_rows(args.family, args.max):
         line = f"{n:4d}  {value:5d}"
         if args.verify:
-            enumerated = enumerate_rings(n).omega
+            enumerated = ring_count(n)
             if enumerated == value:
                 line += "  ok"
             else:
@@ -175,73 +175,43 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     result = enumerate_rings(n)
     omega = result.omega
 
-    violations = [check_schur_axioms(r) for r in result.rings]
-    bad = [v for v in violations if v is not None]
-    checks.append(
-        (
-            "axioms",
-            not bad,
-            f"all {omega} rings satisfy the Schur axioms"
-            if not bad
-            else f"{len(bad)} rings violate the axioms ({bad[0]})",
-        )
-    )
+    bad = [v for v in map(check_schur_axioms, result.rings) if v is not None]
+    detail = f"all {omega} rings satisfy the Schur axioms"
+    if bad:
+        detail = f"{len(bad)} rings violate the axioms ({bad[0]})"
+    checks.append(("axioms", not bad, detail))
 
     formula = _formula_count(n)
     if formula is None:
         checks.append(("formula", None, f"no closed form applies to n={n}"))
     else:
-        checks.append(
-            (
-                "formula",
-                formula == omega,
-                f"enumeration count {omega} vs closed form {formula}",
-            )
-        )
+        detail = f"enumeration count {omega} vs closed form {formula}"
+        checks.append(("formula", formula == omega, detail))
 
     pq = semiprime_factors(n)
     if pq is not None:
         p, q = pq
         automorphic = sum("automorphic" in t for t in result.tags)
-        wedge_only = sum(
-            "wedge" in t and "automorphic" not in t for t in result.tags
-        )
+        wedge_only = sum("wedge" in t and "automorphic" not in t for t in result.tags)
         trivial = sum("trivial" in t for t in result.tags)
-        expected_auto = aut_subgroup_count(n)
-        expected_wedges = 2 * divisor_count(p - 1) * divisor_count(q - 1)
         split_ok = (
-            automorphic == expected_auto
-            and wedge_only == expected_wedges
+            automorphic == aut_subgroup_count(n)
+            and wedge_only == 2 * divisor_count(p - 1) * divisor_count(q - 1)
             and trivial == 1
             and automorphic + wedge_only + trivial == omega
         )
-        checks.append(
-            (
-                "family split",
-                split_ok,
-                f"{omega} = {automorphic} automorphic + {wedge_only} wedge-only + "
-                f"{trivial} trivial",
-            )
-        )
+        detail = f"{omega} = {automorphic} automorphic + {wedge_only} wedge-only + "
+        detail += f"{trivial} trivial"
+        checks.append(("family split", split_ok, detail))
 
     if n <= limit or args.deep:
         if n > limit:
-            print(
-                f"warning: forcing brute-force search at n={n} (limit {limit})",
-                file=sys.stderr,
-            )
+            print(f"warning: forcing brute-force search at n={n} (limit {limit})", file=sys.stderr)
         oracle = brute_force_schur_rings(n, force=True)
-        checks.append(
-            (
-                "oracle",
-                set(oracle) == set(result.rings),
-                f"brute-force search found {len(oracle)} rings",
-            )
-        )
+        detail = f"brute-force search found {len(oracle)} rings"
+        checks.append(("oracle", set(oracle) == set(result.rings), detail))
     else:
-        checks.append(
-            ("oracle", None, f"n={n} exceeds limit {limit}; use --deep to force")
-        )
+        checks.append(("oracle", None, f"n={n} exceeds limit {limit}; use --deep to force"))
 
     failed = False
     for name, ok, detail in checks:
@@ -285,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="closed-form count tables")
     p_table.add_argument("family", choices=("semiprime", "fourp"))
     p_table.add_argument("--max", type=int, default=100)
-    p_table.add_argument(
-        "--verify", action="store_true", help="re-derive each row by enumeration"
-    )
+    p_table.add_argument("--verify", action="store_true", help="re-derive each row by enumeration")
     p_table.set_defaults(func=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="run all applicable cross-checks for n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from schur.core import SchurPartition, _integer, quotient, restrict, s_subgroups
+from schur.core import SchurPartition, _integer, _residue_count, quotient, restrict, s_subgroups
 
 __all__ = [
     "Section",
@@ -46,12 +46,12 @@ def trivial_ring(n: int) -> SchurPartition:
     """The span of the identity and everything else: classes {0} and Z_n - {0}."""
     if (n := _integer(n)) < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    return SchurPartition([0] + [1] * (n - 1))
+    return SchurPartition([0] + [1] * (_residue_count(n) - 1))
 
 
 def discrete_ring(n: int) -> SchurPartition:
     """The full group algebra: every residue is its own class."""
-    return SchurPartition(list(range(_integer(n))))
+    return SchurPartition(list(range(_residue_count(_integer(n)))))
 
 
 def direct_product(s: SchurPartition, t: SchurPartition) -> SchurPartition:

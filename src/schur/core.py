@@ -42,6 +42,15 @@ def _integer(value: object) -> int:
         raise ValueError(f"expected an integer, got {value!r}") from None
 
 
+_MAX_N = (1 << 16) - 1  # a sort key writes n itself in two bytes
+
+
+def _residue_count(n: int) -> int:
+    if not 0 < n <= _MAX_N:
+        raise ValueError(f"a partition of Z_n needs 1 <= n <= {_MAX_N} residues, got {n}")
+    return n
+
+
 _BYTES = bytes(range(256))
 _FROM_KEY = _BYTES[255:] + _BYTES[:255]  # a one-byte sort key to members, 255 between classes
 
@@ -86,9 +95,7 @@ class SchurPartition:
         else:
             ids: dict = {}
             raw = [ids.setdefault(key, len(ids)) for key in keys]
-        n = len(raw)
-        if not 0 < n < 1 << 16:  # a sort key writes n itself in two bytes
-            raise ValueError(f"a partition of Z_n needs 1 <= n <= 65535 residues, got {n}")
+        n = _residue_count(len(raw))
         packed = bytes(raw) if n <= 256 else struct.pack(f"{n}H", *raw)  # native order
         object.__setattr__(self, "_packed", packed)
 
@@ -164,6 +171,10 @@ class SchurPartition:
         # it meets have sizes adding up to d
         n = self.n
         labels = self.labels
+        if n <= 256:  # in C: the residues whose labels the subgroup's members have
+            return tuple(
+                d for d in divisors(n) if n - len(labels.translate(None, labels[:: n // d])) == d
+            )
         sizes = Counter(labels)
         return tuple(
             d for d in divisors(n) if sum(sizes[i] for i in set(labels[:: n // d])) == d
@@ -391,3 +402,14 @@ def quotient(p: SchurPartition, k: int) -> SchurPartition:
     if sum(map(len, set(keys))) != max(labels) + 1:
         raise ValueError(f"class images under x -> x mod {m} are not equal-or-disjoint")
     return SchurPartition(keys)
+
+
+def _quotient(p: SchurPartition, k: int) -> SchurPartition:
+    """quotient(p, k) for a Schur ring p with an S-subgroup of order k, unchecked.
+
+    The labels on the coset r + K are the classes whose image holds r, which
+    for a Schur ring are one set per image, so their least keys r.
+    """
+    labels = p.labels
+    m = len(labels) // k
+    return SchurPartition([min(labels[r::m]) for r in range(m)])

@@ -1,18 +1,19 @@
 """Complete enumeration of Schur rings over Z_n and the wedge-core census.
 
 Every Schur ring over a cyclic group is trivial, automorphic, a direct
-product, or a wedge product, so generating all four families recursively
-over divisors and deduplicating on the canonical partition yields the full
-list. Overlaps between families are resolved by the dedup, not by counting
-arguments, which keeps the generator honest as an independent check on the
-closed-form counts.
+product, or a wedge product. enumerate_rings builds all four families
+recursively over divisors and resolves overlaps by deduplicating on the
+canonical partition, not by counting, which keeps it an independent check
+on the closed forms. ring_count, core_census and indecomposable_count count
+without building a wedge over Z_n; tests pin them to it for every n <= 240.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
+from typing import Iterator
 
 from schur.automorphic import automorphic_rings
 from schur.constructions import (
@@ -22,7 +23,7 @@ from schur.constructions import (
     wedge_core,
     wedge_product,
 )
-from schur.core import SchurPartition, _integer, quotient, restrict, s_subgroups
+from schur.core import SchurPartition, _integer, _quotient, restrict, s_subgroups
 from schur.formulas import divisors
 
 __all__ = [
@@ -83,6 +84,53 @@ def _proper_sections(n: int) -> list[tuple[int, int]]:
     ]
 
 
+def _modulus(n: object) -> int:
+    if (n := _integer(n)) < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    return n
+
+
+def _base_rings(n: int, unsplit_factors: bool = False) -> Iterator[tuple[SchurPartition, int]]:
+    """The trivial, automorphic and direct rings of Z_n, each with its family bit.
+
+    With unsplit_factors, direct products only of factors that split along no
+    section: if S on Z_a splits along (k, h), S x T splits along (k, hb), as
+    a class outside the order-hb subgroup is C x D with C outside H.
+    """
+    yield trivial_ring(n), 1
+    for ring in automorphic_rings(n):
+        yield ring, 2
+    for a, b in _coprime_splits(n):
+        lefts, rights = (
+            [r for r, core in zip(res.rings, res._cores) if not unsplit_factors or core.n == res.n]
+            for res in (enumerate_rings(a), enumerate_rings(b))
+        )
+        for s in lefts:
+            for t in rights:
+                yield direct_product(s, t), 4
+
+
+def _pairs(n: int) -> Iterator[tuple[Section, SchurPartition, SchurPartition, list]]:
+    """(section, S, core of S, the Ts it matches) per kept S, by enumerate_rings' filters."""
+    for k, h in _proper_sections(n):
+        hk = h // k
+        rights: dict[SchurPartition, list[SchurPartition]] = {}
+        for t in enumerate_rings(n // k).rings:
+            if hk in s_subgroups(t) and all(m % hk for _, m in t._split_sections):
+                rights.setdefault(restrict(t, hk), []).append(t)
+        section = Section(k, h)
+        below = enumerate_rings(h)
+        for s, core in zip(below.rings, below._cores):
+            if k in s_subgroups(s) and all(j != k for j, _ in s._split_sections):
+                ts = rights.get(_quotient(s, k))
+                if ts:
+                    yield section, s, core, ts
+
+
+def _sorted_census(census: Counter) -> tuple[tuple[SchurPartition, int], ...]:
+    return tuple(sorted(census.items(), key=lambda item: (item[0].n, item[0].sort_key())))
+
+
 def enumerate_rings(n: int) -> EnumerationResult:
     """Enumerate every Schur ring over Z_n, memoized per modulus.
 
@@ -122,8 +170,7 @@ def enumerate_rings(n: int) -> EnumerationResult:
     the core of S, which the memoized result for h holds. A ring no wedge
     built is indecomposable, as the pairing is complete, and is its own core.
     """
-    if (n := _integer(n)) < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
+    n = _modulus(n)
     cached = _CACHE.get(n)
     if cached is not None:
         return cached
@@ -134,54 +181,116 @@ def enumerate_rings(n: int) -> EnumerationResult:
     def add(ring: SchurPartition, bit: int) -> None:
         found[ring] = found.get(ring, 0) | bit
 
-    add(trivial_ring(n), 1)
-    for ring in automorphic_rings(n):
-        add(ring, 2)
-    for a, b in _coprime_splits(n):
-        for s in enumerate_rings(a).rings:
-            for t in enumerate_rings(b).rings:
-                add(direct_product(s, t), 4)
-    for k, h in _proper_sections(n):
-        hk = h // k
-        below = enumerate_rings(h)
-        lefts = [
-            (s, quotient(s, k), core)
-            for s, core in zip(below.rings, below._cores)
-            if k in s_subgroups(s) and all(j != k for j, _ in s._split_sections)
-        ]
-        rights: dict[SchurPartition, list[SchurPartition]] = {}
-        for t in enumerate_rings(n // k).rings:
-            if hk in s_subgroups(t) and all(m % hk for _, m in t._split_sections):
-                rights.setdefault(restrict(t, hk), []).append(t)
-        section = Section(k, h)
-        for s, pushed, core in lefts:
-            for t in rights.get(pushed, ()):
-                ring = wedge_product(s, t, section, n)
-                add(ring, 8)
-                cores[ring] = core
+    for ring, bit in _base_rings(n):
+        add(ring, bit)
+    for section, s, core, ts in _pairs(n):
+        for t in ts:
+            ring = wedge_product(s, t, section, n)
+            add(ring, 8)
+            cores[ring] = core
 
     rings = tuple(sorted(found, key=SchurPartition.sort_key))
     tags = tuple(_TAG_SETS[found[r]] for r in rings)
     ring_cores = tuple(cores[r] if r in cores else wedge_core(r) for r in rings)
-    census = Counter(ring_cores)
-    census_items = tuple(
-        sorted(census.items(), key=lambda item: (item[0].n, item[0].sort_key()))
-    )
-    result = EnumerationResult(n, rings, tags, census_items, ring_cores)
+    result = EnumerationResult(n, rings, tags, _sorted_census(Counter(ring_cores)), ring_cores)
     _CACHE[n] = result
     return result
 
 
+def _rivals(n: int) -> dict[tuple[int, int], list]:
+    """For each proper section (k, h), the rivals that can make a pair along it not canonical.
+
+    Let R be the wedge of kept S on Z_h and T on Z_{n/k}. Then (j, m) splits
+    R iff, for l = j and m, gcd(l, h) is an S-subgroup of S and l | h or k | l
+    and l/k is one of T (an S-subgroup L of R not in H holds a class outside
+    H, a union of K-cosets, so K <= L), and
+    (1) h | m, or j | h and S splits along (j, gcd(h, m)), which implies the
+        S side above: the classes inside H and outside M are S's classes
+        outside the meet of H and M;
+    (2) j | k, or k | m and T splits along (lcm(j, k)/k, m/k): if K <= M, a
+        class outside H and M is a union of J-cosets iff its image, a class
+        of T outside M/K, is one of (J + K)/K-cosets, as the images of the
+        classes of (1) are; if not, M <= H (enumerate_rings) and T would
+        split along ((J + K)/K, H/K), against the right filter.
+    Two kept sections of R have distinct k, lcm(h, h') = n and lcm(k, k') < n
+    (a class outside H and H' is a union of (K + K')-cosets, so not all of
+    Z_n), so K <= H' and K' <= H (enumerate_rings). A split (k', h') is kept
+    iff R splits along no (k', h'') with h'' | h', h'' < h' (R on Z_h' does
+    iff R does) and no (k'', h'') with k' | k'' != k', h' | h''. A pair counts
+    iff no rival, (k', h') as above with k' < k, is kept for R: each ring
+    counts once, along its kept section of least k. Per section, each rival's
+    (S test, T test, stop tests): the facts (S-subgroup orders, split
+    sections) S and T need for R to split along it, and along each section
+    that would stop it being kept; 0 fails.
+    """
+    sections = _proper_sections(n)
+    out = {}
+    for k, h in sections:
+
+        def tests(j: int, m: int) -> tuple[frozenset, frozenset]:
+            s_test = gcd(j, h) if m % h == 0 else h % j == 0 and (j, gcd(h, m))
+            t_test = [(l // k if l % k == 0 else 0) for l in (j, m) if h % l]
+            if k % j:
+                t_test.append(m % k == 0 and (lcm(j, k) // k, m // k))
+            return frozenset([s_test or 0]), frozenset(t or 0 for t in t_test)
+
+        out[k, h] = [
+            (*tests(k2, h2), [
+                tests(j, m) for j, m in sections
+                if j == k2 and h2 % m == 0 and m < h2 or j % k2 == 0 < j - k2 and m % h2 == 0
+            ])
+            for k2, h2 in sections
+            if k2 < k and lcm(h, h2) == n and lcm(k, k2) < n and h2 % k == 0 and h % k2 == 0
+        ]
+    return out
+
+
+def _census(n: int) -> tuple[tuple[SchurPartition, int], ...]:
+    """The core census of Z_n, from the memo or counted without building wedges over Z_n.
+
+    A ring no wedge builds is indecomposable and its own core: the base rings
+    with no split section (_base_rings). Every other ring is built by the
+    complete pairing, so is counted at its left factor's core along its
+    canonical section (_rivals); a wedge is decomposable, so no ring counts
+    twice. Writes no memo entry for n.
+    """
+    n = _modulus(n)
+    cached = _CACHE.get(n)
+    if cached is not None:
+        return cached.core_census
+    census = Counter({r for r, _ in _base_rings(n, True) if not r._split_sections})
+    rivals = _rivals(n)
+    for section, s, core, ts in _pairs(n):
+        fs = frozenset(s._subgroup_orders + s._split_sections)
+        live = [
+            (t_test, [t2 for s2, t2 in stops if fs >= s2])
+            for s_test, t_test, stops in rivals[section.k, section.h]
+            if fs >= s_test
+        ]
+        if not live:
+            census[core] += len(ts)
+            continue
+        for t in ts:
+            ft = frozenset(t._subgroup_orders + t._split_sections)
+            census[core] += not any(
+                ft >= t_test and not any(ft >= t2 for t2 in stops) for t_test, stops in live
+            )
+    return _sorted_census(census)
+
+
 def ring_count(n: int) -> int:
-    """The number of Schur rings over Z_n."""
-    return enumerate_rings(n).omega
+    """The number of Schur rings over Z_n: the census total, with no wedge over Z_n built."""
+    return sum(count for _, count in _census(n))
 
 
 def core_census(n: int) -> dict[SchurPartition, int]:
-    """Map each wedge core to the number of rings over Z_n having that core."""
-    return dict(enumerate_rings(n).core_census)
+    """Map each wedge core, in (order, sort key) order, to the number of rings over Z_n having it.
+
+    Counted without building a wedge over Z_n, as in ring_count.
+    """
+    return dict(_census(n))
 
 
 def indecomposable_count(n: int) -> int:
     """Number of wedge-indecomposable Schur rings over Z_n."""
-    return sum(count for core, count in enumerate_rings(n).core_census if core.n == n)
+    return sum(count for core, count in _census(n) if core.n == n)

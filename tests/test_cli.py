@@ -205,14 +205,13 @@ def test_oracle_limit_env_invalid_is_usage_error(capsys, monkeypatch):
 
 
 def test_modulus_bound_is_usage_error(capsys, monkeypatch):
-    from types import SimpleNamespace
-
     from schur.cli import MAX_ENUMERATED_N
 
     def never(*args, **kwargs):
         raise AssertionError("work started before the modulus bound was checked")
 
     monkeypatch.setattr("schur.cli.enumerate_rings", never)
+    monkeypatch.setattr("schur.cli.ring_count", never)
     monkeypatch.setattr("schur.cli.brute_force_schur_rings", never)
     for n in (MAX_ENUMERATED_N + 1, 10**18 + 3, 10**70):
         for argv in (
@@ -228,7 +227,7 @@ def test_modulus_bound_is_usage_error(capsys, monkeypatch):
             assert code == 2 and out == "", argv
             assert f"exceeds the enumeration bound {MAX_ENUMERATED_N}" in err, argv
     # the bound itself is accepted, and the closed form takes any n
-    monkeypatch.setattr("schur.cli.enumerate_rings", lambda n: SimpleNamespace(omega=-1))
+    monkeypatch.setattr("schur.cli.ring_count", lambda n: -1)
     code, out, _ = run(capsys, "count", str(MAX_ENUMERATED_N))
     assert code == 0 and out == f"Omega({MAX_ENUMERATED_N}) = -1 [enumerate]\n"
     code, out, _ = run(capsys, "count", "10001", "--method", "formula")

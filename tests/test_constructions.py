@@ -200,3 +200,25 @@ def test_wedge_output_is_schur_for_all_small_moduli():
                         w = wedge_product(s, t, section, n)
                         assert is_schur_partition(w)
                         assert w == wedge_by_refinement(s, t, section, n)
+
+
+def test_constructors_refuse_large_n_before_allocating():
+    import tracemalloc
+
+    n = 2 * 10**6
+    message = f"a partition of Z_n needs 1 <= n <= 65535 residues, got {n}"
+    with pytest.raises(ValueError) as raised:
+        SchurPartition(bytes(n))
+    assert str(raised.value) == message
+    for call in (trivial_ring, discrete_ring):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as raised:
+                call(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the same bound and message as SchurPartition, with nothing built first
+        assert str(raised.value) == message, call
+        assert peak < 2**20, (call, peak)
+    assert trivial_ring(65535).n == discrete_ring(65535).n == 65535

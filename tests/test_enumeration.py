@@ -326,3 +326,76 @@ def test_cold_enumeration_at_144_stays_small():
         timeout=300,
     )
     assert float(out.stdout) <= 50, out.stdout
+
+
+def check_count_path_to(top, monkeypatch):
+    # one shared memo, n ascending: the count path reads its proper divisors
+    # from the memo and counts n itself, before enumerate_rings builds n
+    from schur import enumeration
+
+    monkeypatch.setattr(enumeration, "_CACHE", {})
+    for n in range(1, top + 1):
+        census = list(core_census(n).items())
+        omega, indecomposable = ring_count(n), indecomposable_count(n)
+        assert n not in enumeration._CACHE
+        result = enumerate_rings(n)
+        assert census == list(result.core_census), n
+        assert omega == result.omega, n
+        assert indecomposable == sum(c for core, c in result.core_census if core.n == n), n
+
+
+def test_count_path_equals_enumeration_to_96(monkeypatch):
+    check_count_path_to(96, monkeypatch)
+
+
+@pytest.mark.slow
+def test_count_path_equals_enumeration_to_240(monkeypatch):
+    check_count_path_to(240, monkeypatch)
+
+
+def test_count_path_builds_no_wedge_over_n(monkeypatch):
+    from schur import enumeration
+    from schur.core import SchurPartition
+    from schur.formulas import count_4p
+
+    calls, keyed = [], []
+    build, sort_key = enumeration.wedge_product, SchurPartition.sort_key
+
+    def counted(*args):
+        calls.append(args[3])
+        return build(*args)
+
+    def counted_key(p):
+        keyed.append(p.n)
+        return sort_key(p)
+
+    monkeypatch.setattr(enumeration, "_CACHE", {})
+    monkeypatch.setattr(enumeration, "wedge_product", counted)
+    monkeypatch.setattr(SchurPartition, "sort_key", counted_key)
+    # a semiprime, a 4p, and n = 48 and 72, where enumerate_rings builds 1,019
+    # wedges over Z_48 and 2,403 for 2,293 wedge-tagged rings over Z_72
+    for n, omega in ((187, count_semiprime(11, 17)), (52, count_4p(13)), (48, 1033), (72, 2311)):
+        assert ring_count(n) == omega
+        assert n not in calls and n not in enumeration._CACHE
+        # only the indecomposable rings of n are keyed, by the census sort
+        assert keyed.count(n) <= indecomposable_count(n) < omega
+    assert calls  # the proper divisors were built as before
+
+
+def test_count_path_reads_the_memo_and_checks_its_input(monkeypatch):
+    from schur import enumeration
+    from schur.enumeration import EnumerationResult
+
+    core = trivial_ring(5)
+    memo = {12: EnumerationResult(12, (), (), ((core, 7),), ())}
+    monkeypatch.setattr(enumeration, "_CACHE", memo)
+    assert ring_count(12) == 7
+    assert core_census(12) == {core: 7}
+    assert indecomposable_count(12) == 0
+    for call in (ring_count, core_census, indecomposable_count):
+        for bad, message in ((0, "modulus must be positive, got 0"), (12.0, "expected an integer")):
+            with pytest.raises(ValueError, match=message):
+                enumerate_rings(bad)
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+    assert list(memo) == [12]

@@ -1,0 +1,72 @@
+import schur
+from schur import automorphic, brute_force, constructions, core, enumeration, formulas
+
+
+def test_package_exports_its_modules_public_names():
+    modules = (automorphic, brute_force, constructions, core, enumeration, formulas)
+    assert set(schur.__all__) == {name for m in modules for name in m.__all__}
+    for name in schur.__all__:
+        assert getattr(schur, name) is next(
+            getattr(m, name) for m in modules if name in m.__all__
+        ), name
+    namespace: dict = {}
+    exec("from schur import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(schur.__all__)
+
+
+def test_package_exports_are_pinned():
+    assert sorted(schur.__all__) == [
+        "AxiomViolation",
+        "DEFAULT_SEARCH_LIMIT",
+        "EnumerationResult",
+        "FAMILY_TAGS",
+        "FourPProfile",
+        "SchurPartition",
+        "Section",
+        "SemiprimeProfile",
+        "UnitGroup",
+        "UnitSubgroup",
+        "all_subgroups",
+        "aut_subgroup_count",
+        "automorphic_rings",
+        "brute_force_schur_rings",
+        "brute_force_subgroup_count",
+        "canonical_decode",
+        "canonical_encode",
+        "check_schur_axioms",
+        "core_census",
+        "count_2p",
+        "count_3p",
+        "count_4p",
+        "count_5p",
+        "count_prime",
+        "count_semiprime",
+        "count_semiprime_split",
+        "direct_product",
+        "discrete_ring",
+        "divisor_count",
+        "divisors",
+        "enumerate_rings",
+        "euler_phi",
+        "factorize",
+        "find_wedge_section",
+        "four_p_factor",
+        "indecomposable_count",
+        "is_prime",
+        "is_schur_partition",
+        "is_wedge_decomposable",
+        "orbit_partition",
+        "quotient",
+        "restrict",
+        "ring_count",
+        "s_subgroups",
+        "semiprime_factors",
+        "subgroup_lattice_size",
+        "trivial_ring",
+        "two_adic_split",
+        "unit_group",
+        "wedge_compatible",
+        "wedge_core",
+        "wedge_product",
+    ]
+    assert schur.__version__ == "0.1.0"
