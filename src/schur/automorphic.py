@@ -12,8 +12,8 @@ from itertools import groupby
 from math import gcd, prod
 from typing import Sequence
 
-from schur.core import SchurPartition, _integer
-from schur.formulas import factorize, subgroup_lattice_size
+from schur.core import SchurPartition, _modulus
+from schur.formulas import _integer, factorize, subgroup_lattice_size
 
 __all__ = [
     "UnitGroup",
@@ -43,11 +43,9 @@ class UnitSubgroup:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.n
-        if n < 1:
-            raise ValueError(f"modulus must be positive, got {n}")
+        n = _modulus(self.n)
         elements = tuple(sorted(set(map(_integer, self.elements))))
-        object.__setattr__(self, "elements", elements)
+        vars(self).update(n=n, elements=elements)
         if 1 % n not in elements:
             raise ValueError("subgroup must contain the identity")
         members = set(elements)
@@ -60,9 +58,7 @@ class UnitSubgroup:
 
 
 def unit_group(n: int) -> UnitGroup:
-    if (n := _integer(n)) < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    if n == 1:
+    if (n := _modulus(n)) == 1:
         return UnitGroup(1, (0,))
     return UnitGroup(n, tuple(x for x in range(1, n) if gcd(x, n) == 1))
 
@@ -206,6 +202,7 @@ def aut_subgroup_count(n: int) -> int:
     Each Sylow r-subgroup is Z_{r^e1} x ... x Z_{r^et}, read off the r-axes of
     _unit_axes(n). Works when every t <= 2, which covers n prime, semiprime, and 4p.
     """
+    n = _modulus(n)
     exponents: dict[int, list[int]] = {}
     for m, _ in _unit_axes(n):
         ((r, e),) = factorize(m)

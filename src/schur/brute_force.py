@@ -19,8 +19,8 @@ from math import gcd
 from typing import Iterator
 
 from schur.automorphic import _subgroup_lattice
-from schur.core import SchurPartition, _integer, _signature, check_schur_axioms
-from schur.formulas import is_prime
+from schur.core import SchurPartition, _modulus, _signature, check_schur_axioms
+from schur.formulas import _integer, is_prime
 
 __all__ = [
     "DEFAULT_SEARCH_LIMIT",
@@ -40,12 +40,14 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
     other members of x's constraint block in order, each included or
     excluded; after each inclusion C is closed under every unit m with m*C
     meeting C, and the branch is pruned if the closure takes in an excluded
-    element. C is committed with its whole unit orbit {m*C}, which holds its
-    star -C. The product of two completed class sums must have coefficients
-    constant on every class. The level sets of those coefficients confine all
-    future classes; their running common refinement is kept as a block
-    partition of the unassigned elements. Every complete partition is still
-    checked against all the Schur axioms.
+    element. Candidates come off one explicit stack, the exclude branch
+    first. C is committed with its whole unit orbit {m*C}, which holds its
+    star -C, read off the images of C's last closure pass: each candidate is
+    mapped through the units once. The product of two completed class sums
+    must have coefficients constant on every class. The level sets of those
+    coefficients confine all future classes; their running common refinement
+    is kept as a block partition of the unassigned elements. Every complete
+    partition is still checked against all the Schur axioms.
 
     A candidate class is a frozenset of residues and a block an ascending
     list of them; m*C is read through one row per unit, row[g] = m*g % n.
@@ -64,9 +66,7 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
     under 0.1 s for every n <= 32, 0.6-0.9 s at n=48 and 2.0-2.7 s at n=60. Moduli
     above DEFAULT_SEARCH_LIMIT (14) are refused unless force=True.
     """
-    if (n := _integer(n)) < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    if n > DEFAULT_SEARCH_LIMIT and not force:
+    if (n := _modulus(n)) > DEFAULT_SEARCH_LIMIT and not force:
         raise ValueError(
             f"n={n} exceeds the brute-force limit {DEFAULT_SEARCH_LIMIT}; pass "
             "force=True to run anyway (about 1 s at n=48, 2 s at n=60)"
@@ -83,11 +83,14 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
     # one row per unit m > 1: row[g] = m*g % n
     rows = [[m * g % n for g in range(n)] for m in range(2, n) if gcd(m, n) == 1]
 
-    def close(members: frozenset[int], excluded: frozenset[int]) -> frozenset[int] | None:
-        """members grown to hold each m*members it meets; None if one is excluded."""
-        grown = True
-        while grown:
-            grown = False
+    def close(members: frozenset[int], excluded: frozenset[int]) -> tuple | None:
+        """The closure C of members and its images m*C, one per row; None if C meets excluded.
+
+        C is the least superset that each m*C meets only if equal, so it does not depend on
+        the order of the units, and a fresh pass after C grows is safe.
+        """
+        while True:
+            images = []
             for row in rows:
                 moved = frozenset(map(row.__getitem__, members))
                 # a unit permutes Z_n, so moved is not inside members iff it differs
@@ -95,28 +98,27 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
                     if not moved.isdisjoint(excluded):
                         return None
                     members |= moved
-                    grown = True
-        return members
+                    break
+                images.append(moved)
+            else:
+                return members, images
 
-    def candidates(block: list[int]) -> Iterator[frozenset[int]]:
-        """Every closed subset of block that contains x = block[0], deciding members in order."""
+    def candidates(block: list[int]) -> Iterator[tuple]:
+        """Every closed subset of block holding x = block[0], with its images, in search order."""
         others = block[1:]
-
-        def grow(
-            i: int, members: frozenset[int], excluded: frozenset[int]
-        ) -> Iterator[frozenset[int]]:
+        stack = [(0, *close(frozenset(block[:1]), frozenset()), frozenset())]
+        while stack:
+            i, members, images, excluded = stack.pop()
             while i < len(others) and others[i] in members:
                 i += 1
             if i == len(others):
-                yield members
-                return
+                yield members, images
+                continue
             g = others[i]
-            yield from grow(i + 1, members, excluded | {g})
             grown = close(members | {g}, excluded)
             if grown is not None:
-                yield from grow(i + 1, grown, excluded)
-
-        return grow(0, frozenset(block[:1]), frozenset())
+                stack.append((i + 1, *grown, excluded))
+            stack.append((i + 1, members, images, excluded | {g}))
 
     def extend(classes: list[tuple[int, ...]], blocks: list[list[int]]) -> None:
         if not blocks:
@@ -126,10 +128,9 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
             return
         # the blocks partition the unassigned residues and are disjoint and
         # ascending, so the least block holds the least unassigned residue
-        for members in candidates(min(blocks)):
+        for members, images in candidates(min(blocks)):
             # m*C is a class for every unit m
-            orbit = [members] + [frozenset(map(row.__getitem__, members)) for row in rows]
-            new_classes = [tuple(sorted(c)) for c in dict.fromkeys(orbit)]
+            new_classes = [tuple(sorted(c)) for c in dict.fromkeys([members, *images])]
             for c in new_classes:
                 for g in c:
                     labels[g] = c[0]
@@ -167,6 +168,7 @@ def brute_force_subgroup_count(r: int, k: int, ell: int) -> int:
     join with a cyclic subgroup. It uses no closed form, so it checks the
     lattice-size formula independently. Group order is capped at 1024.
     """
+    r, k, ell = map(_integer, (r, k, ell))
     if k < 0 or ell < 0:
         raise ValueError("exponents must be non-negative")
     # 2**11 > 1024, so the cap is decided before any large power is formed

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from schur.core import SchurPartition, _integer, _residue_count, quotient, restrict, s_subgroups
+from schur.core import SchurPartition, _modulus, _residue_count, quotient, restrict, s_subgroups
+from schur.formulas import _integer
 
 __all__ = [
     "Section",
@@ -35,7 +36,7 @@ class Section:
     h: int
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.h % self.k != 0:
+        if _integer(self.k) < 1 or _integer(self.h) % self.k != 0:
             raise ValueError(f"section requires k | h, got k={self.k}, h={self.h}")
 
     def is_proper_in(self, n: int) -> bool:
@@ -44,9 +45,7 @@ class Section:
 
 def trivial_ring(n: int) -> SchurPartition:
     """The span of the identity and everything else: classes {0} and Z_n - {0}."""
-    if (n := _integer(n)) < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    return SchurPartition([0] + [1] * (_residue_count(n) - 1))
+    return SchurPartition([0] + [1] * (_residue_count(_modulus(n)) - 1))
 
 
 def discrete_ring(n: int) -> SchurPartition:

@@ -13,10 +13,10 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, index
+from operator import add
 from typing import Iterable, Sequence
 
-from schur.formulas import divisors
+from schur.formulas import _integer, divisors
 
 __all__ = [
     "SchurPartition",
@@ -35,11 +35,10 @@ def _braced(members: Iterable[object]) -> str:
     return "{" + ",".join(map(str, members)) + "}"
 
 
-def _integer(value: object) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"expected an integer, got {value!r}") from None
+def _modulus(n: object) -> int:
+    if (n := _integer(n)) < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    return n
 
 
 _MAX_N = (1 << 16) - 1  # a sort key writes n itself in two bytes
@@ -106,10 +105,8 @@ class SchurPartition:
         Rejects non-integers, an empty class, a member outside 0..n-1,
         classes that overlap, and classes that do not cover Z_n.
         """
-        n = _integer(n)
-        if n < 1:
-            raise ValueError(f"modulus must be positive, got {n}")
-        labels = [-1] * n
+        n = _modulus(n)
+        labels = [-1] * _residue_count(n)
         for i, s in enumerate(sets):
             members = set(map(_integer, s))
             if not members:

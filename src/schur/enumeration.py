@@ -23,7 +23,7 @@ from schur.constructions import (
     wedge_core,
     wedge_product,
 )
-from schur.core import SchurPartition, _integer, _quotient, restrict, s_subgroups
+from schur.core import SchurPartition, _modulus, _quotient, restrict, s_subgroups
 from schur.formulas import divisors
 
 __all__ = [
@@ -82,12 +82,6 @@ def _proper_sections(n: int) -> list[tuple[int, int]]:
         for k in divisors(h)
         if k > 1
     ]
-
-
-def _modulus(n: object) -> int:
-    if (n := _integer(n)) < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    return n
 
 
 def _base_rings(n: int, unsplit_factors: bool = False) -> Iterator[tuple[SchurPartition, int]]:
@@ -245,19 +239,17 @@ def _rivals(n: int) -> dict[tuple[int, int], list]:
     return out
 
 
-def _census(n: int) -> tuple[tuple[SchurPartition, int], ...]:
-    """The core census of Z_n, from the memo or counted without building wedges over Z_n.
+def _census(n: int) -> Counter:
+    """The core census of Z_n as an unsorted core -> count tally, with no wedge over Z_n built.
 
     A ring no wedge builds is indecomposable and its own core: the base rings
     with no split section (_base_rings). Every other ring is built by the
     complete pairing, so is counted at its left factor's core along its
     canonical section (_rivals); a wedge is decomposable, so no ring counts
-    twice. Writes no memo entry for n.
+    twice. It always counts: it neither reads nor writes the memo entry for n,
+    and it builds no sort key for a ring over Z_n.
     """
     n = _modulus(n)
-    cached = _CACHE.get(n)
-    if cached is not None:
-        return cached.core_census
     census = Counter({r for r, _ in _base_rings(n, True) if not r._split_sections})
     rivals = _rivals(n)
     for section, s, core, ts in _pairs(n):
@@ -275,22 +267,22 @@ def _census(n: int) -> tuple[tuple[SchurPartition, int], ...]:
             census[core] += not any(
                 ft >= t_test and not any(ft >= t2 for t2 in stops) for t_test, stops in live
             )
-    return _sorted_census(census)
+    return census
 
 
 def ring_count(n: int) -> int:
-    """The number of Schur rings over Z_n: the census total, with no wedge over Z_n built."""
-    return sum(count for _, count in _census(n))
+    """The number of Schur rings over Z_n: the census total, counted by _census, nothing sorted."""
+    return sum(_census(n).values())
 
 
 def core_census(n: int) -> dict[SchurPartition, int]:
     """Map each wedge core, in (order, sort key) order, to the number of rings over Z_n having it.
 
-    Counted without building a wedge over Z_n, as in ring_count.
+    Counted by _census, as in ring_count; only this sorts, the cores alone.
     """
-    return dict(_census(n))
+    return dict(_sorted_census(_census(n)))
 
 
 def indecomposable_count(n: int) -> int:
-    """Number of wedge-indecomposable Schur rings over Z_n."""
-    return sum(count for core, count in _census(n) if core.n == n)
+    """Number of wedge-indecomposable Schur rings over Z_n, counted by _census."""
+    return sum(count for core, count in _census(n).items() if core.n == n)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
+from operator import index
 
 __all__ = [
     "is_prime",
@@ -32,9 +33,16 @@ __all__ = [
 ]
 
 
+def _integer(value: object) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
+
+
 def is_prime(m: int) -> bool:
     """Deterministic primality test by trial division."""
-    if m < 2:
+    if (m := _integer(m)) < 2:
         return False
     if m < 4:
         return True
@@ -48,10 +56,10 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of m >= 1 as ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
-    if m < 1:
+    if (m := _integer(m)) < 1:
         raise ValueError(f"cannot factorize {m}")
     out: list[tuple[int, int]] = []
     rest = m
@@ -69,7 +77,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def divisors(m: int) -> tuple[int, ...]:
     """All positive divisors of m, ascending."""
     divs = [1]
@@ -88,7 +96,7 @@ def euler_phi(m: int) -> int:
 
 def two_adic_split(m: int) -> tuple[int, int]:
     """Write m = 2**k * a with a odd; returns (k, a)."""
-    if m < 1:
+    if (m := _integer(m)) < 1:
         raise ValueError(f"expected a positive integer, got {m}")
     k = 0
     while m % 2 == 0:
@@ -164,6 +172,7 @@ class FourPProfile:
 
 def subgroup_lattice_size(r: int, k: int, ell: int) -> int:
     """Number of subgroups of Z_{r^k} x Z_{r^ell} for a prime r."""
+    r, k, ell = map(_integer, (r, k, ell))
     if not is_prime(r):
         raise ValueError(f"{r} is not prime")
     if k < 0 or ell < 0:

@@ -63,6 +63,15 @@ def test_unit_subgroup_refuses_nonpositive_modulus():
             UnitSubgroup(n, (1,))
 
 
+def test_unit_subgroup_stores_its_modulus_as_an_int():
+    class Seven:
+        def __index__(self):
+            return 7
+
+    h = UnitSubgroup(Seven(), (4, 1, 2))
+    assert type(h.n) is int and h == UnitSubgroup(7, (1, 2, 4))
+
+
 def mul_closure(n, gens):
     """Reference: subgroup of (Z/nZ)^x generated by gens, by BFS."""
     identity = 1 % n

@@ -206,6 +206,10 @@ def test_subgroup_count_bounds_and_validation():
         brute_force_subgroup_count(6, 1, 1)
     with pytest.raises(ValueError):
         brute_force_subgroup_count(2, -1, 0)
+    # 2.0 passed the prime test and the cap, then failed with a TypeError in the lattice
+    for shape in ((2.0, 1, 1), (2, 1.0, 1), (2, 1, 1.0)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            brute_force_subgroup_count(*shape)
 
 
 def test_subgroup_count_cap_checked_before_the_power():

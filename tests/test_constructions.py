@@ -21,6 +21,9 @@ def test_section_validation():
     Section(3, 3)
     with pytest.raises(ValueError):
         Section(3, 4)
+    for k, h in ((2.0, 4), (2, 4.0)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            Section(k, h)
     assert Section(2, 4).is_proper_in(12)
     assert not Section(2, 4).is_proper_in(4)
 
@@ -210,7 +213,7 @@ def test_constructors_refuse_large_n_before_allocating():
     with pytest.raises(ValueError) as raised:
         SchurPartition(bytes(n))
     assert str(raised.value) == message
-    for call in (trivial_ring, discrete_ring):
+    for call in (trivial_ring, discrete_ring, lambda n: SchurPartition.from_sets(n, [range(n)])):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as raised:

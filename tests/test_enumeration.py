@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from schur.automorphic import orbit_partition, unit_group, UnitSubgroup
+from schur.automorphic import aut_subgroup_count, orbit_partition, unit_group, UnitSubgroup
 from schur.brute_force import brute_force_schur_rings
 from schur.cli import _json_pieces
 from schur.constructions import discrete_ring, is_wedge_decomposable, trivial_ring
@@ -153,8 +153,14 @@ def test_non_integer_modulus_is_refused_after_a_warm_memo():
 
 
 def test_constructors_refuse_a_non_integer_modulus():
-    # range() and list repetition raised TypeError on these, naming no value
-    for call, bad in ((trivial_ring, 4.0), (discrete_ring, 4.0), (brute_force_schur_rings, 6.0)):
+    # range(), list repetition, pow() and gcd() raised TypeError on these, naming no value
+    for call, bad in (
+        (trivial_ring, 4.0),
+        (discrete_ring, 4.0),
+        (brute_force_schur_rings, 6.0),
+        (aut_subgroup_count, 12.0),
+        (lambda n: UnitSubgroup(n, (1, 2, 4)), 7.0),
+    ):
         with pytest.raises(ValueError, match=f"expected an integer, got {bad}"):
             call(bad)
 
@@ -376,26 +382,30 @@ def test_count_path_builds_no_wedge_over_n(monkeypatch):
     # wedges over Z_48 and 2,403 for 2,293 wedge-tagged rings over Z_72
     for n, omega in ((187, count_semiprime(11, 17)), (52, count_4p(13)), (48, 1033), (72, 2311)):
         assert ring_count(n) == omega
+        assert 0 < indecomposable_count(n) < omega
         assert n not in calls and n not in enumeration._CACHE
-        # only the indecomposable rings of n are keyed, by the census sort
-        assert keyed.count(n) <= indecomposable_count(n) < omega
+        # counting sorts nothing: no ring over Z_n gets a sort key
+        assert keyed.count(n) == 0
     assert calls  # the proper divisors were built as before
 
 
-def test_count_path_reads_the_memo_and_checks_its_input(monkeypatch):
+def test_count_path_ignores_the_memo_and_checks_its_input(monkeypatch):
     from schur import enumeration
     from schur.enumeration import EnumerationResult
 
-    core = trivial_ring(5)
-    memo = {12: EnumerationResult(12, (), (), ((core, 7),), ())}
-    monkeypatch.setattr(enumeration, "_CACHE", memo)
-    assert ring_count(12) == 7
-    assert core_census(12) == {core: 7}
-    assert indecomposable_count(12) == 0
+    monkeypatch.setattr(enumeration, "_CACHE", {})
+    cold = list(enumerate_rings(12).core_census)
+    # a wrong memo entry for n itself is neither read nor replaced by the count path
+    planted = EnumerationResult(12, (), (), ((trivial_ring(5), 7),), ())
+    enumeration._CACHE[12] = planted
+    memo = dict(enumeration._CACHE)
+    assert ring_count(12) == 32
+    assert list(core_census(12).items()) == cold
+    assert indecomposable_count(12) == sum(c for core, c in cold if core.n == 12)
     for call in (ring_count, core_census, indecomposable_count):
         for bad, message in ((0, "modulus must be positive, got 0"), (12.0, "expected an integer")):
             with pytest.raises(ValueError, match=message):
                 enumerate_rings(bad)
             with pytest.raises(ValueError, match=message):
                 call(bad)
-    assert list(memo) == [12]
+    assert enumeration._CACHE == memo and enumeration._CACHE[12] is planted

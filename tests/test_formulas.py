@@ -17,6 +17,7 @@ from schur.formulas import (
     four_p_factor,
     is_prime,
     semiprime_factors,
+    subgroup_lattice_size,
     two_adic_split,
 )
 
@@ -36,6 +37,25 @@ def test_basic_multiplicative_functions():
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_non_integers_are_refused():
+    # each went through the arithmetic: count_semiprime(3.0, 7) gave 27.0, count_prime(7.0)
+    # gave 4, subgroup_lattice_size(2, 1.5, 1) gave 6.5 and factorize(12.5) ((12.5, 1),)
+    factorize(12), divisors(12)  # an int's cache entry does not answer for 12.0
+    for call, args in (
+        (count_semiprime, (3.0, 7)),
+        (count_prime, (7.0,)),
+        (subgroup_lattice_size, (2, 1.5, 1)),
+        (subgroup_lattice_size, (2.0, 1, 1)),
+        (factorize, (12.5,)),
+        (factorize, (12.0,)),
+        (divisors, (12.0,)),
+        (is_prime, (7.0,)),
+        (two_adic_split, (12.0,)),
+    ):
+        with pytest.raises(ValueError, match="expected an integer"):
+            call(*args)
 
 
 def test_factor_caches_are_bounded():
