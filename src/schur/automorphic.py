@@ -13,7 +13,7 @@ from math import gcd, prod
 from typing import Sequence
 
 from schur.core import SchurPartition, _modulus
-from schur.formulas import _integer, factorize, subgroup_lattice_size
+from schur.formulas import _integer, _unit_axes, factorize, subgroup_lattice_size
 
 __all__ = [
     "UnitGroup",
@@ -116,31 +116,6 @@ def _subgroup_lattice(orders: Sequence[int]) -> list[int]:
                 found.add(joined)
                 walk.append(joined)
     return walk
-
-
-def _unit_axes(n: int) -> list[tuple[int, int]]:
-    """(order, generator) pairs whose generators give (Z/nZ)^x as a direct product.
-
-    Per prime power p^e of n: a primitive root for odd p; -1, and 5 when
-    e >= 3, for p = 2; each lifted by CRT to 1 mod n/p^e, then split into one
-    axis (r^f, g^(m/r^f)) per r^f || its order m. Orders are prime powers, by prime.
-    """
-    axes = []
-    for p, e in factorize(n):
-        q, rest = p**e, n // p**e
-        if p == 2:
-            # -1 has order min(e, 2) mod 2^e
-            local = [(min(e, 2), -1)] + ([(2 ** (e - 2), 5)] if e >= 3 else [])
-        else:
-            qs = [r for r, _ in factorize(p - 1)]
-            g = next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in qs))
-            # a primitive root mod p^2 is one mod every p^e; g + p is one if g is not
-            local = [((p - 1) * q // p, g + p if pow(g, p - 1, p * p) == 1 else g)]
-        for m, g in local:
-            # x = g mod q and x = 1 mod rest
-            x = 1 + rest * ((g - 1) * pow(rest, -1, q) % q)
-            axes += [(r, r**f, pow(x, m // r**f, n)) for r, f in factorize(m)]
-    return [(m, g) for _, m, g in sorted(axes)]
 
 
 def _lattice_subgroup(n: int, elements: tuple[int, ...]) -> UnitSubgroup:

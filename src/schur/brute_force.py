@@ -19,67 +19,68 @@ from math import gcd
 from typing import Iterator
 
 from schur.automorphic import _subgroup_lattice
-from schur.core import SchurPartition, _modulus, _signature, check_schur_axioms
+from schur.core import SchurPartition, _modulus, _signature, _slot_size, check_schur_axioms
 from schur.formulas import _integer, is_prime
 
 __all__ = [
     "DEFAULT_SEARCH_LIMIT",
+    "MAX_SEARCH_N",
     "brute_force_schur_rings",
     "brute_force_subgroup_count",
 ]
 
 DEFAULT_SEARCH_LIMIT = 14
+MAX_SEARCH_N = 256  # the search holds one n-long row per unit, phi(n)*n ints in all
 
 
 def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartition, ...]:
     """All Schur partitions of Z_n by exhaustive backtracking.
 
-    The search assigns the class C of the smallest unassigned element x.
-    By the multiplier theorem, m*C is a class for every unit m mod n, so
-    m*C = C whenever m*C meets C. Candidates grow from {x} by deciding the
-    other members of x's constraint block in order, each included or
-    excluded; after each inclusion C is closed under every unit m with m*C
-    meeting C, and the branch is pruned if the closure takes in an excluded
-    element. Candidates come off one explicit stack, the exclude branch
-    first. C is committed with its whole unit orbit {m*C}, which holds its
-    star -C, read off the images of C's last closure pass: each candidate is
-    mapped through the units once. The product of two completed class sums
-    must have coefficients constant on every class. The level sets of those
-    coefficients confine all future classes; their running common refinement
-    is kept as a block partition of the unassigned elements. Every complete
-    partition is still checked against all the Schur axioms.
+    The search assigns the class C of the smallest unassigned element x. By the multiplier
+    theorem, m*C is a class for every unit m mod n, so m*C = C whenever m*C meets C.
+    Candidates grow from {x} by deciding the other members of x's constraint block in order,
+    each included or excluded; after each inclusion C is closed under every unit m with m*C
+    meeting C, and the branch is pruned if the closure takes in an excluded element.
+    Candidates come off one explicit stack, the exclude branch first. C is committed with
+    its whole unit orbit {m*C}, which holds its star -C, read off the images of C's last
+    closure pass: each candidate is mapped through the units once. The product of two
+    completed class sums must have coefficients constant on every class. The level sets of
+    those coefficients confine all future classes; their running common refinement is kept
+    as a block partition of the unassigned elements. Every complete partition is still
+    checked against all the Schur axioms.
 
-    A candidate class is a frozenset of residues and a block an ascending
-    list of them; m*C is read through one row per unit, row[g] = m*g % n.
+    A candidate class is a frozenset of residues and a block an ascending list of them; m*C
+    is read through one row per unit, row[g] = m*g % n.
 
-    Products are read off one _signature per orbit member: with a committed
-    class of least member c weighing n**c and an unassigned residue 0, digit
-    d at g is the coefficient at g of the product with the class of least
-    member d. {0} is its own class, so every coefficient is below n: no carry.
+    Products are read off one _signature per orbit member over a packed row, a committed
+    class weighing the product of |D| + 1 over the classes D committed before it: digit D of
+    slot g is the coefficient at g of the product with D, and slots stay below 2**n, one
+    word up to n = 64. A commit adds to the row passed down. Blocks are split by each word
+    of each new signature in turn.
 
-    Every unit m permutes the blocks: the first is Z_n minus {0}, and each
-    refinement splits by the products of a whole committed orbit with every
-    class, a set that x -> m*x permutes. So a closure never leaves C's
-    block, and every m*C lies in a block, clear of assigned residues.
+    Every unit m permutes the blocks: the first is Z_n minus {0}, and each refinement splits
+    by the products of a whole committed orbit with every class, a set that x -> m*x
+    permutes. So a closure never leaves C's block, and every m*C lies in a block, clear of
+    assigned residues.
 
-    On one core of a shared Intel Xeon VM (Python 3.11) the search takes
-    under 0.1 s for every n <= 32, 0.6-0.9 s at n=48 and 2.0-2.7 s at n=60. Moduli
-    above DEFAULT_SEARCH_LIMIT (14) are refused unless force=True.
+    On one core of a shared Intel Xeon VM (Python 3.11) the search takes under 0.1 s for
+    every n <= 32, 0.45 s at n=48, 1.2-1.5 s at n=60 and 8.5-8.8 s at n=96. Moduli above
+    DEFAULT_SEARCH_LIMIT (14) are refused unless force=True, above MAX_SEARCH_N (256) always.
     """
     if (n := _modulus(n)) > DEFAULT_SEARCH_LIMIT and not force:
         raise ValueError(
             f"n={n} exceeds the brute-force limit {DEFAULT_SEARCH_LIMIT}; pass "
-            "force=True to run anyway (about 1 s at n=48, 2 s at n=60)"
+            "force=True to run anyway (about 0.5 s at n=48, 1.2 s at n=60)"
         )
+    if n > MAX_SEARCH_N:
+        raise ValueError(f"n={n} exceeds the brute-force bound {MAX_SEARCH_N}")
     if n == 1:
         return (SchurPartition.from_sets(1, [{0}]),)
 
     results: list[SchurPartition] = []
-    # the partial partition: an assigned class is labelled by its least member c
-    # and weighs n**c, an unassigned residue is its own label and weighs 0; the
-    # weights are written twice over, as _signature reads them
-    labels = list(range(n))
-    weight = ([1] + [0] * (n - 1)) * 2
+    labels = list(range(n))  # an assigned residue's class's least member, else the residue
+    size = _slot_size((1 << n) - 1)
+    bits, q = 8 * size, size // 8 or 1
     # one row per unit m > 1: row[g] = m*g % n
     rows = [[m * g % n for g in range(n)] for m in range(2, n) if gcd(m, n) == 1]
 
@@ -120,7 +121,7 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
                 stack.append((i + 1, *grown, excluded))
             stack.append((i + 1, members, images, excluded | {g}))
 
-    def extend(classes: list[tuple[int, ...]], blocks: list[list[int]]) -> None:
+    def extend(classes: list, blocks: list[list[int]], row: int, weight: int) -> None:
         if not blocks:
             part = SchurPartition.from_sets(n, classes)
             if check_schur_axioms(part) is None:
@@ -130,31 +131,39 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
         # ascending, so the least block holds the least unassigned residue
         for members, images in candidates(min(blocks)):
             # m*C is a class for every unit m
-            new_classes = [tuple(sorted(c)) for c in dict.fromkeys([members, *images])]
+            new_classes = list(dict.fromkeys([members, *images]))
+            grown, w = row, weight
             for c in new_classes:
+                lead, slots = min(c), 0
                 for g in c:
-                    labels[g] = c[0]
-                    weight[g] = weight[n + g] = n ** c[0]
-            sigs = []
+                    labels[g] = lead
+                    slots |= 1 << bits * g
+                grown += w * (slots | slots << bits * n)
+                w *= len(c) + 1
+            keys = []
             for c in new_classes:
-                sigs.append(_signature(weight, c))
-                if list(map(sigs[-1].__getitem__, labels)) != sigs[-1]:
+                sig = _signature(grown, c, n, size)
+                words = [sig] if q == 1 else [sig[j::q] for j in range(q)]
+                if any(list(map(key.__getitem__, labels)) != key for key in words):
                     break  # sig[g] != sig[least member of g's class]
+                keys += words
             else:
-                new_blocks: list[list[int]] = []
-                for b in blocks:
-                    groups: dict[tuple[int, ...], list[int]] = {}
-                    for g in b:
-                        if not weight[g]:  # g is still unassigned
-                            groups.setdefault(tuple([sig[g] for sig in sigs]), []).append(g)
-                    new_blocks.extend(groups.values())
-                extend(classes + new_classes, new_blocks)
+                new_blocks, taken = blocks, set().union(*new_classes)  # the first pass drops them
+                for key in keys:
+                    split: list[list[int]] = []
+                    for b in new_blocks:
+                        groups: dict[int, list[int]] = {}
+                        for g in b:
+                            if g not in taken:
+                                groups.setdefault(key[g], []).append(g)
+                        split += groups.values()
+                    new_blocks, taken = split, ()
+                extend(classes + new_classes, new_blocks, grown, w)
             for c in new_classes:
                 for g in c:
                     labels[g] = g
-                    weight[g] = weight[n + g] = 0
 
-    extend([(0,)], [list(range(1, n))])
+    extend([(0,)], [list(range(1, n))], 1 | 1 << bits * n, 2)  # {0} weighs 1, twice over
     results.sort(key=SchurPartition.sort_key)
     return tuple(results)
 

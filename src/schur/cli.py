@@ -5,7 +5,8 @@ deterministic; diagnostics go to stderr. n > MAX_ENUMERATED_N is a usage error
 but for `count --method formula`, and so is `table --verify` with --max above
 it. The brute-force search limit can be raised with the SCHUR_ORACLE_LIMIT
 environment variable (default 14); a value that is not a positive integer
-makes `count --method oracle` and `verify` exit 2.
+makes `count --method oracle` and `verify` exit 2, and so does a search it
+would run past MAX_SEARCH_N (256), whatever the limit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from typing import Iterator
 
 from schur.automorphic import aut_subgroup_count
-from schur.brute_force import DEFAULT_SEARCH_LIMIT, brute_force_schur_rings
+from schur.brute_force import DEFAULT_SEARCH_LIMIT, MAX_SEARCH_N, brute_force_schur_rings
 from schur.core import SchurPartition, check_schur_axioms
 from schur.enumeration import EnumerationResult, enumerate_rings, ring_count
 from schur.formulas import (
@@ -34,22 +35,21 @@ ORACLE_LIMIT_ENV = "SCHUR_ORACLE_LIMIT"
 MAX_ENUMERATED_N = 10**4  # building the rings of Z_n allocates n labels per ring
 
 
-def _oracle_limit() -> int | None:
-    """The brute-force limit, or None after reporting an invalid setting."""
+def _oracle_limit(n: int, forced: bool) -> int | None:
+    """The brute-force limit, or None after reporting a bad setting or a search past the bound."""
     raw = os.environ.get(ORACLE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_SEARCH_LIMIT
     try:
-        limit = int(raw)
+        limit = DEFAULT_SEARCH_LIMIT if raw is None else int(raw)
     except ValueError:
         limit = 0
     if limit < 1:
-        print(
-            f"error: {ORACLE_LIMIT_ENV} must be a positive integer, got {raw!r}",
-            file=sys.stderr,
-        )
-        return None
-    return limit
+        error = f"{ORACLE_LIMIT_ENV} must be a positive integer, got {raw!r}"
+    elif (n <= limit or forced) and n > MAX_SEARCH_N:
+        error = f"n={n} exceeds the brute-force bound {MAX_SEARCH_N}"
+    else:
+        return limit
+    print(f"error: {error}", file=sys.stderr)
+    return None
 
 
 def _formula_count(n: int) -> int | None:
@@ -77,15 +77,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
             )
             return 2
     elif method == "oracle":
-        limit = _oracle_limit()
+        limit = _oracle_limit(n, False)
         if limit is None:
             return 2
         if n > limit:
-            print(
-                f"error: n={n} exceeds the oracle limit {limit} "
-                f"(set {ORACLE_LIMIT_ENV} to override)",
-                file=sys.stderr,
-            )
+            error = f"n={n} exceeds the oracle limit {limit} (set {ORACLE_LIMIT_ENV} to override)"
+            print(f"error: {error}", file=sys.stderr)
             return 2
         value = len(brute_force_schur_rings(n, force=True))
     else:
@@ -101,7 +98,7 @@ def _json_pieces(result: EnumerationResult) -> Iterator[str]:
     census = ({"core": c.to_json_dict(), "order": c.n, "count": k} for c, k in result.core_census)
     yield f'{{"n":{result.n},"omega":{result.omega}'
     for name, pieces in [
-        ("rings", map(encode, map(SchurPartition.to_json_dict, result.rings))),
+        ("rings", map(SchurPartition._json, result.rings)),
         ("tags", map(tags.__getitem__, result.tags)),
         ("core_census", map(encode, census)),
     ]:
@@ -168,7 +165,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
-    limit = _oracle_limit()
+    limit = _oracle_limit(n, args.deep)
     if limit is None:
         return 2
     checks: list[tuple[str, bool | None, str]] = []  # (name, ok/None=skip, detail)

@@ -10,13 +10,13 @@ throughout: the subgroup of order d is the set of multiples of n/d.
 from __future__ import annotations
 
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 from typing import Iterable, Sequence
 
-from schur.formulas import _integer, divisors
+from schur.formulas import _integer, _unit_axes, divisors
 
 __all__ = [
     "SchurPartition",
@@ -52,6 +52,7 @@ def _residue_count(n: int) -> int:
 
 _BYTES = bytes(range(256))
 _FROM_KEY = _BYTES[255:] + _BYTES[:255]  # a one-byte sort key to members, 255 between classes
+_JSON_KEY = ["],["] + [f",{b - 1}" for b in range(1, 256)]  # a one-byte key to JSON classes
 
 
 def _grouped(labels: Sequence[int]) -> list[list[int]]:
@@ -197,6 +198,14 @@ class SchurPartition:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "classes": [list(c) for c in self._members()]}
 
+    def _json(self) -> str:
+        """to_json_dict() as compact JSON, translated from the sort key if its values are bytes."""
+        if len(self._packed) <= 254:
+            members = self._key.decode("latin-1").translate(_JSON_KEY)[1:].replace("[,", "[")
+        else:
+            members = "],[".join(",".join(map(str, c)) for c in self._members())
+        return f'{{"n":{self.n},"classes":[[{members}]]}}'
+
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SchurPartition":
         return cls.from_sets(obj["n"], obj["classes"])
@@ -281,44 +290,68 @@ def _class_product(
     return acc, -1
 
 
-def _signature(row: list[int], members: Iterable[int]) -> list[int]:
-    """sig[g] = sum over x in members of row[g - x], g in Z_n, row the weights of Z_n twice.
+_WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # word bytes to a struct and array format
 
-    With row[g] the weight base**c of g's class c, digit c of sig[g] is the
-    coefficient at g of (sum of members) * (class c), if no digit carries.
+
+def _slot_size(top: int) -> int:
+    """Bytes in the narrowest slot that holds top: 1, 2, 4 or a multiple of 8."""
+    bits = top.bit_length()
+    return 1 if bits <= 8 else 2 if bits <= 16 else 4 if bits <= 32 else 8 * -(-bits // 64)
+
+
+def _signature(row: int, members: Iterable[int], n: int, size: int) -> list[int]:
+    """The words of the sum over x in members of row >> slot*(n - x), cut to n slots.
+
+    row holds Z_n's weights twice, residue g's in slots g and n + g of size bytes, so slot
+    g is the sum over x of the weight of g - x: with no carry, its digit D is the coefficient
+    at g of (sum of members) * D. A slot of 8q > 8 bytes is words gq .. gq + q - 1, else
+    word g; read natively off little-endian bytes, words are equal iff their slots are.
     """
-    n = len(row) // 2
-    x, *rest = members
-    sig = row[n - x : 2 * n - x]
-    for x in rest:
-        sig = list(map(add, sig, row[n - x : 2 * n - x]))
-    return sig
+    bits = 8 * size
+    acc = sum([row >> bits * (n - x) for x in members]) & ((1 << bits * n) - 1)
+    return array(_WORD[min(size, 8)], acc.to_bytes(size * n, "little")).tolist()
 
 
 def _products_constant(labels: Sequence[int], classes: Sequence[Sequence[int]]) -> bool:
     """True when every product of two class sums is constant on every class.
 
-    The coefficient of a*b at g counts the x in a with g - x in b, so this
-    holds exactly when each class's _signature over the weights base**label,
-    base the largest class size + 1 so no digit carries, is constant on
-    every class: O(n^2) additions and O(n) memory in all, one pass per
-    class where the pair scan makes one per pair. Given axioms 1 and 2,
-    {0} is skipped (sig is the weights), so is a* after a ((a*)(b) at g is
-    (a)(b*) at -g), and so is the largest class with a* = a (all signatures
-    add up to a constant).
+    The coefficient of a*b at g counts the x in a with g - x in b, so this holds exactly
+    when each class's _signature is constant on every class, class d weighing the product
+    of |D_e| + 1 over e < d: a coefficient of C*D is at most |D| (x -> g - x is injective),
+    so no digit carries, and slots stay below the product of all |D| + 1 <= 2**n, one word
+    for n <= 64. One-word rows skip {0} (its signature is the weights), a* after a ((a*)(b)
+    at g is (a)(b*) at -g) and, given axioms 1 and 2, the largest class with a* = a (all
+    signatures add up to a constant). Wider rows check one class per unit orbit: if some
+    generator m of the units (formulas._unit_axes) does not permute the classes, there is
+    no Schur ring, by the multiplier theorem; if all do, (mC)D = m(C m^-1 D) is in the
+    span when every C'D is, and every unit orbit holds the class of a divisor d < n
+    (x = u*gcd(x, n), u a unit): those classes are checked, less the largest fixed one.
     """
     n = len(labels)
-    base = max(map(len, classes)) + 1
-    weights = [base**c for c in range(len(classes))]
-    row = [weights[c] for c in labels] * 2
+    weights = [1]
+    for c in classes:
+        weights.append(weights[-1] * (len(c) + 1))
+    size = _slot_size(weights.pop() - 1)
     firsts = [classes[c][0] for c in labels]
-    stars = [labels[-c[0] % n] for c in classes]
-    todo = [c for c in range(1, len(classes)) if stars[c] >= c]
-    symmetric = [c for c in todo if stars[c] == c]
-    if symmetric:
-        todo.remove(max(symmetric, key=lambda c: len(classes[c])))
+    if size <= 8:
+        data = struct.pack(f"<{n}{_WORD[size]}", *map(weights.__getitem__, labels))
+        stars = [labels[-c[0] % n] for c in classes]
+        todo = [c for c in range(1, len(classes)) if stars[c] >= c]
+        fixed = [c for c in todo if stars[c] == c]
+    else:
+        moved = [[labels[m * x % n] for x in range(n)] for _, m in _unit_axes(n)]
+        if any(len(set(zip(labels, images))) != len(classes) for images in moved):
+            return False
+        todo = list(dict.fromkeys(labels[d] for d in divisors(n)[:-1]))
+        fixed = [c for c in todo if all(images[classes[c][0]] == c for images in moved)]
+        slots = [w.to_bytes(size, "little") for w in weights]
+        data = b"".join(map(slots.__getitem__, labels))
+        firsts = [f * size // 8 + j for f in firsts for j in range(size // 8)]
+    row = int.from_bytes(data * 2, "little")
+    if fixed:
+        todo.remove(max(fixed, key=lambda c: len(classes[c])))
     for c in todo:
-        sig = _signature(row, classes[c])
+        sig = _signature(row, classes[c], n, size)
         if list(map(sig.__getitem__, firsts)) != sig:  # sig[g] != sig[least member of g's class]
             return False
     return True
@@ -327,8 +360,9 @@ def _products_constant(labels: Sequence[int], classes: Sequence[Sequence[int]]) 
 def check_schur_axioms(p: SchurPartition) -> AxiomViolation | None:
     """Return None when p defines a Schur ring, else the first violation.
 
-    Axiom 3 is decided by _products_constant; when it fails, a scan over
-    pairs of classes names the first product not constant on a class.
+    Axiom 3 is decided by _products_constant, which on rows of more than one
+    word rests on the multiplier theorem; when it fails, a scan over pairs of
+    classes names the first product not constant on a class.
     """
     labels = p.labels
     n = len(labels)

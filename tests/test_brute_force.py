@@ -4,7 +4,11 @@ import pytest
 
 from schur.automorphic import subgroup_lattice_size
 import schur.brute_force
-from schur.brute_force import brute_force_schur_rings, brute_force_subgroup_count
+from schur.brute_force import (
+    MAX_SEARCH_N,
+    brute_force_schur_rings,
+    brute_force_subgroup_count,
+)
 from schur.constructions import discrete_ring, trivial_ring, wedge_product, Section
 from schur.core import SchurPartition, _class_product, check_schur_axioms, is_schur_partition
 from schur.enumeration import enumerate_rings
@@ -141,8 +145,9 @@ def _assert_oracle_matches_enumeration(monkeypatch, moduli):
 
 
 def test_agreement_beyond_default_limit(monkeypatch):
-    # reaches n=60, where the enumerator builds one ring along two sections
-    _assert_oracle_matches_enumeration(monkeypatch, range(15, 61))
+    # reaches n=60, where the enumerator builds one ring along two sections, and
+    # n = 64 and 65, the last one-word and the first two-word weight row
+    _assert_oracle_matches_enumeration(monkeypatch, [*range(15, 61), 64, 65])
 
 
 @pytest.mark.slow
@@ -168,6 +173,23 @@ def test_search_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 0.3 * 2**20
+
+
+def test_search_refuses_large_n_before_allocating():
+    # the search keeps phi(n) unit rows of n ints, about 99 million of them at n = 9973
+    assert MAX_SEARCH_N >= 144
+    for n in (MAX_SEARCH_N + 1, 9973):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as raised:
+                brute_force_schur_rings(n, force=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == f"n={n} exceeds the brute-force bound {MAX_SEARCH_N}"
+        assert peak < 2**20, (n, peak)
+    with pytest.raises(ValueError, match="brute-force limit 14"):
+        brute_force_schur_rings(9973)
 
 
 def test_output_sorted_canonically():

@@ -204,6 +204,30 @@ def test_oracle_limit_env_invalid_is_usage_error(capsys, monkeypatch):
             assert "SCHUR_ORACLE_LIMIT" in err and "positive integer" in err
 
 
+def test_search_bound_is_usage_error(capsys, monkeypatch):
+    from schur.brute_force import MAX_SEARCH_N
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the search bound was checked")
+
+    monkeypatch.setattr("schur.cli.enumerate_rings", never)
+    monkeypatch.setattr("schur.cli.brute_force_schur_rings", never)
+    for limit in ("14", "10000"):
+        monkeypatch.setenv("SCHUR_ORACLE_LIMIT", limit)
+        for n in (MAX_SEARCH_N + 1, 9973):
+            argvs = [("verify", str(n), "--deep")]
+            if limit != "14":  # within the limit, the search would run without --deep
+                argvs += [("count", str(n), "--method", "oracle"), ("verify", str(n))]
+            for argv in argvs:
+                code, out, err = run(capsys, *argv)
+                assert code == 2 and out == "", argv
+                assert f"n={n} exceeds the brute-force bound {MAX_SEARCH_N}" in err, argv
+    # past the limit, verify skips the search, so the bound does not apply
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "257")
+    assert code == 0 and "SKIP oracle: n=257 exceeds limit 14" in out
+
+
 def test_modulus_bound_is_usage_error(capsys, monkeypatch):
     from schur.cli import MAX_ENUMERATED_N
 

@@ -2,10 +2,12 @@ import copy
 import pickle
 import random
 from array import array
+from collections import Counter
+from math import gcd, prod
 
 import pytest
 
-from schur.automorphic import orbit_partition, unit_group, UnitSubgroup
+from schur.automorphic import all_subgroups, orbit_partition, unit_group, UnitSubgroup
 from schur.constructions import (
     Section,
     direct_product,
@@ -19,6 +21,7 @@ from schur.core import (
     SchurPartition,
     _class_product,
     _signature,
+    _slot_size,
     canonical_encode,
     check_schur_axioms,
     is_schur_partition,
@@ -133,10 +136,11 @@ def test_checker_matches_reference_on_every_partition_to_9():
 
 
 def test_signature_digits_are_class_product_coefficients():
-    # weigh the class with least member c by n**c, as the ring oracle does:
-    # digit d of a class's signature at g is then its product's coefficient
-    # at g with the class whose least member is d. With {0} a class, no
-    # coefficient reaches n, so no digit carries
+    # weigh class d by the product of |D_e| + 1 over e < d, as the checker
+    # does: digit d of a class's signature at g, in that mixed radix, is then
+    # its product's coefficient at g with class d. A coefficient of a*b is at
+    # most |b|, so no digit carries, and every slot stays below the product
+    # of all |D| + 1, in the narrowest slot _slot_size picks for it
     partitions = pairs = 0
     for n in range(2, 10):
         for labels in _all_label_vectors(n):
@@ -144,12 +148,21 @@ def test_signature_digits_are_class_product_coefficients():
                 continue
             classes = SchurPartition(labels).classes
             sizes = [len(c) for c in classes]
-            row = [n ** classes[c][0] for c in labels] * 2
+            weights = [1]
+            for c in classes:
+                weights.append(weights[-1] * (len(c) + 1))
+            size = _slot_size(weights.pop() - 1)
+            assert size == (1 if weights[-1] * (sizes[-1] + 1) <= 256 else 2)
+            row = sum(weights[c] << 8 * size * g for g, c in enumerate(labels * 2))
             for a in classes:
-                sig = _signature(row, a)
-                for b in classes:
+                words = _signature(row, a, n, size)
+                # the words hold the sum's little-endian bytes, read in native order
+                data = array("B" if size == 1 else "H", words).tobytes()
+                starts = range(0, n * size, size)
+                slots = [int.from_bytes(data[g : g + size], "little") for g in starts]
+                for d, b in enumerate(classes):
                     product = _class_product(a, b, n, labels, sizes)[0]
-                    digits = [sig[g] // n ** b[0] % n for g in range(n)]
+                    digits = [slot // weights[d] % (len(b) + 1) for slot in slots]
                     assert digits == [product.get(g, 0) for g in range(n)], (labels, a, b)
                     pairs += 1
             partitions += 1
@@ -223,6 +236,70 @@ def test_checker_matches_reference_on_enumerated_rings_and_merges():
                     assert violation == _reference_check_schur_axioms(p), (ring, i, j)
                     axioms.add(violation and violation.axiom)
     assert axioms == {None, 2, 3}
+
+
+def _wide(p):
+    # slots of more than one 64-bit word: the checker takes one class per unit orbit
+    return _slot_size(prod(len(c) + 1 for c in p.classes) - 1) > 8
+
+
+def _unit_invariant(p):
+    n, labels, count = p.n, p.labels, len(p.classes)
+    return all(
+        len(set(zip(labels, [labels[m * x % n] for x in range(n)]))) == count
+        for m in range(1, n)
+        if gcd(m, n) == 1
+    )
+
+
+def _merged(p, a, b):
+    # classes a and b merged, and their stars with them, so axiom 2 mostly holds
+    labels = p.labels
+    star = [labels[-c[0] % p.n] for c in p.classes]
+    relabel = {b: a} if b == star[a] else {b: a, star[b]: star[a]}
+    return SchurPartition([relabel.get(c, c) for c in labels])
+
+
+def test_checker_matches_reference_on_wide_rows():
+    # the one-word/two-word boundary, two-byte labels, and fixed-seed merges
+    # of automorphic rings with small unit subgroups at n = 64..128: rings,
+    # partitions some unit generator does not permute, and unit-invariant
+    # ones that are still no Schur ring (x and -x share a class when x is a unit)
+    rng = random.Random(18)
+    cases = [discrete_ring(n) for n in (63, 64, 65, 257, 300)]
+    cases += [orbit_partition(UnitSubgroup(n, (1, n - 1))) for n in (65, 257, 300)]
+    cases += [orbit_partition(h) for h in all_subgroups(unit_group(300))[1:12:2]]
+    for n in (100, 128):
+        cases.append(SchurPartition([min(x, n - x) if gcd(x, n) == 1 else x for x in range(n)]))
+    # the units of Z_256 as one class, which passes, and that last partition of Z_128 on
+    # the even residues, which fails first at the class of 2
+    evens = [min(x, 256 - x) if x % 4 else x for x in range(256)]
+    cases.append(SchurPartition([1 if x % 2 else evens[x] for x in range(256)]))
+    # a partition of Z_34 whose classes of 1, 2 and 17 pass, times the {+-1} ring of Z_103:
+    # 103 = 1 mod 34, so the divisors of 3502 fall in the classes that pass, and only
+    # the generator test rejects it
+    z34 = SchurPartition.from_sets(
+        34,
+        [{0}, {17}, {3, 5, 7, 11, 23, 27, 29, 31}, {6, 10, 12, 14, 20, 22, 24, 28},
+         {1, 2, 4, 8, 9, 13, 15, 16, 18, 19, 21, 25, 26, 30, 32, 33}],
+    )
+    pm103 = [min(y, 103 - y) for y in range(103)]
+    cases.append(SchurPartition([(z34.labels[x % 34], pm103[x % 103]) for x in range(3502)]))
+    for _ in range(60):
+        n = rng.randrange(64, 129)
+        small = [h for h in all_subgroups(unit_group(n)) if len(h.elements) <= 2]
+        ring = orbit_partition(rng.choice(small))
+        a, b = rng.sample(range(1, len(ring.classes)), 2)
+        cases.append(_merged(ring, a, b))
+    assert [_wide(p) for p in cases[:3]] == [False, False, True]
+    verdicts = Counter()
+    for p in cases:
+        violation = check_schur_axioms(p)
+        assert violation == _reference_check_schur_axioms(p), p
+        if _wide(p):
+            verdicts[violation and violation.axiom, _unit_invariant(p)] += 1
+    # wide rings, and wide axiom-3 failures on both sides of the generator test
+    assert verdicts[None, True] >= 5 and verdicts[3, False] >= 10 and verdicts[3, True] >= 2
 
 
 def test_partition_validation():

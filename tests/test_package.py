@@ -21,6 +21,7 @@ def test_package_exports_are_pinned():
         "EnumerationResult",
         "FAMILY_TAGS",
         "FourPProfile",
+        "MAX_SEARCH_N",
         "SchurPartition",
         "Section",
         "SemiprimeProfile",
