@@ -12,7 +12,7 @@ from itertools import groupby
 from math import gcd, prod
 from typing import Sequence
 
-from schur.core import SchurPartition, _modulus
+from schur.core import SchurPartition, _modulus, _residue_count
 from schur.formulas import _integer, _unit_axes, factorize, subgroup_lattice_size
 
 __all__ = [
@@ -152,7 +152,7 @@ def all_subgroups(u: UnitGroup) -> tuple[UnitSubgroup, ...]:
 def orbit_partition(h: UnitSubgroup) -> SchurPartition:
     """Orbits of x -> u*x (u in h) on Z_n, each labelled by its least member."""
     n = h.n
-    labels = [-1] * n
+    labels = [-1] * _residue_count(n)
     for x in range(n):
         if labels[x] < 0:
             for u in h.elements:

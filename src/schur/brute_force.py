@@ -55,8 +55,8 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
     Products are read off one _signature per orbit member over a packed row, a committed
     class weighing the product of |D| + 1 over the classes D committed before it: digit D of
     slot g is the coefficient at g of the product with D, and slots stay below 2**n, one
-    word up to n = 64. A commit adds to the row passed down. Blocks are split by each word
-    of each new signature in turn.
+    word up to n = 64. A commit adds to the row passed down. Blocks are split by each new
+    class's signature in turn, one value per residue.
 
     Every unit m permutes the blocks: the first is Z_n minus {0}, and each refinement splits
     by the products of a whole committed orbit with every class, a set that x -> m*x
@@ -80,7 +80,7 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
     results: list[SchurPartition] = []
     labels = list(range(n))  # an assigned residue's class's least member, else the residue
     size = _slot_size((1 << n) - 1)
-    bits, q = 8 * size, size // 8 or 1
+    bits = 8 * size
     # one row per unit m > 1: row[g] = m*g % n
     rows = [[m * g % n for g in range(n)] for m in range(2, n) if gcd(m, n) == 1]
 
@@ -142,11 +142,9 @@ def brute_force_schur_rings(n: int, *, force: bool = False) -> tuple[SchurPartit
                 w *= len(c) + 1
             keys = []
             for c in new_classes:
-                sig = _signature(grown, c, n, size)
-                words = [sig] if q == 1 else [sig[j::q] for j in range(q)]
-                if any(list(map(key.__getitem__, labels)) != key for key in words):
-                    break  # sig[g] != sig[least member of g's class]
-                keys += words
+                if (sig := _signature(grown, c, n, size, labels)) is None:
+                    break
+                keys.append(sig)
             else:
                 new_blocks, taken = blocks, set().union(*new_classes)  # the first pass drops them
                 for key in keys:

@@ -36,8 +36,8 @@ class Section:
     h: int
 
     def __post_init__(self) -> None:
-        if _integer(self.k) < 1 or _integer(self.h) % self.k != 0:
-            raise ValueError(f"section requires k | h, got k={self.k}, h={self.h}")
+        if _integer(self.k) < 1 or _integer(self.h) < 1 or self.h % self.k != 0:
+            raise ValueError(f"section requires positive k | h, got k={self.k}, h={self.h}")
 
     def is_proper_in(self, n: int) -> bool:
         return 1 < self.k <= self.h < n and n % self.h == 0
@@ -64,7 +64,7 @@ def direct_product(s: SchurPartition, t: SchurPartition) -> SchurPartition:
     if gcd(a, b) != 1:
         raise ValueError(f"moduli must be coprime, got {a} and {b}")
     sl, tl = s.labels, t.labels
-    return SchurPartition([sl[x % a] * b + tl[x % b] for x in range(a * b)])
+    return SchurPartition([sl[x % a] * b + tl[x % b] for x in range(_residue_count(a * b))])
 
 
 def wedge_compatible(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> bool:
@@ -84,7 +84,7 @@ def wedge_compatible(s: SchurPartition, t: SchurPartition, u: Section, n: int) -
 
 def wedge_product(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> SchurPartition:
     """Wedge of S over Z_h with T over Z_{n/k} along the section U = (k, h)."""
-    k, h = u.k, u.h
+    k, h, n = u.k, u.h, _residue_count(_modulus(n))
     if not u.is_proper_in(n):
         raise ValueError(f"section ({k},{h}) is not proper in Z_{n}")
     if s.n != h:

@@ -10,7 +10,6 @@ throughout: the subgroup of order d is the set of multiples of n/d.
 from __future__ import annotations
 
 import struct
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -290,7 +289,7 @@ def _class_product(
     return acc, -1
 
 
-_WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # word bytes to a struct and array format
+_WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # word bytes to a struct and memoryview format
 
 
 def _slot_size(top: int) -> int:
@@ -299,40 +298,47 @@ def _slot_size(top: int) -> int:
     return 1 if bits <= 8 else 2 if bits <= 16 else 4 if bits <= 32 else 8 * -(-bits // 64)
 
 
-def _signature(row: int, members: Iterable[int], n: int, size: int) -> list[int]:
-    """The words of the sum over x in members of row >> slot*(n - x), cut to n slots.
+def _signature(
+    row: int, members: Iterable[int], n: int, size: int, firsts: Sequence[int]
+) -> list | None:
+    """The slots of the sum over x in members of row >> slot*(n - x), cut to n slots.
 
     row holds Z_n's weights twice, residue g's in slots g and n + g of size bytes, so slot
     g is the sum over x of the weight of g - x: with no carry, its digit D is the coefficient
-    at g of (sum of members) * D. A slot of 8q > 8 bytes is words gq .. gq + q - 1, else
-    word g; read natively off little-endian bytes, words are equal iff their slots are.
+    at g of (sum of members) * D. Each residue gets one value, equal iff the slots are: up to
+    8 bytes, the word read natively off little-endian bytes, else the slot's own bytes. None
+    when the value at some g differs from the one at firsts[g], its class's least member.
     """
     bits = 8 * size
     acc = sum([row >> bits * (n - x) for x in members]) & ((1 << bits * n) - 1)
-    return array(_WORD[min(size, 8)], acc.to_bytes(size * n, "little")).tolist()
+    data = acc.to_bytes(size * n, "little")
+    if size <= 8:
+        sig = memoryview(data).cast(_WORD[size]).tolist()
+    else:
+        sig = list(struct.unpack(f"{size}s" * n, data))
+    return sig if list(map(sig.__getitem__, firsts)) == sig else None
 
 
 def _products_constant(labels: Sequence[int], classes: Sequence[Sequence[int]]) -> bool:
     """True when every product of two class sums is constant on every class.
 
     The coefficient of a*b at g counts the x in a with g - x in b, so this holds exactly
-    when each class's _signature is constant on every class, class d weighing the product
-    of |D_e| + 1 over e < d: a coefficient of C*D is at most |D| (x -> g - x is injective),
-    so no digit carries, and slots stay below the product of all |D| + 1 <= 2**n, one word
-    for n <= 64. One-word rows skip {0} (its signature is the weights), a* after a ((a*)(b)
-    at g is (a)(b*) at -g) and, given axioms 1 and 2, the largest class with a* = a (all
-    signatures add up to a constant). Wider rows check one class per unit orbit: if some
-    generator m of the units (formulas._unit_axes) does not permute the classes, there is
-    no Schur ring, by the multiplier theorem; if all do, (mC)D = m(C m^-1 D) is in the
-    span when every C'D is, and every unit orbit holds the class of a divisor d < n
-    (x = u*gcd(x, n), u a unit): those classes are checked, less the largest fixed one.
+    when each class's _signature is constant on every class (not None), class d weighing the
+    product of |D_e| + 1 over e < d: a coefficient of C*D is at most |D| (x -> g - x is
+    injective), so no digit carries, and slots stay below the product of all |D| + 1, at
+    most 2**n, one word for n <= 64. One-word rows skip {0} (its signature is the weights),
+    a* after a ((a*)(b) at g is (a)(b*) at -g) and, given axioms 1 and 2, the largest class
+    with a* = a (all signatures add up to a constant). Wider rows check one class per unit
+    orbit: if some generator m of the units (formulas._unit_axes) does not permute the
+    classes, there is no Schur ring, by the multiplier theorem; if all do, (mC)D is
+    m(C m^-1 D), in the span when every C'D is, and every unit orbit holds the class of a
+    divisor d < n (x = u*gcd(x, n), u a unit): those are checked, less the largest fixed one.
     """
     n = len(labels)
     weights = [1]
     for c in classes:
         weights.append(weights[-1] * (len(c) + 1))
     size = _slot_size(weights.pop() - 1)
-    firsts = [classes[c][0] for c in labels]
     if size <= 8:
         data = struct.pack(f"<{n}{_WORD[size]}", *map(weights.__getitem__, labels))
         stars = [labels[-c[0] % n] for c in classes]
@@ -346,15 +352,11 @@ def _products_constant(labels: Sequence[int], classes: Sequence[Sequence[int]]) 
         fixed = [c for c in todo if all(images[classes[c][0]] == c for images in moved)]
         slots = [w.to_bytes(size, "little") for w in weights]
         data = b"".join(map(slots.__getitem__, labels))
-        firsts = [f * size // 8 + j for f in firsts for j in range(size // 8)]
     row = int.from_bytes(data * 2, "little")
     if fixed:
         todo.remove(max(fixed, key=lambda c: len(classes[c])))
-    for c in todo:
-        sig = _signature(row, classes[c], n, size)
-        if list(map(sig.__getitem__, firsts)) != sig:  # sig[g] != sig[least member of g's class]
-            return False
-    return True
+    firsts = [classes[c][0] for c in labels]
+    return all(_signature(row, classes[c], n, size, firsts) is not None for c in todo)
 
 
 def check_schur_axioms(p: SchurPartition) -> AxiomViolation | None:

@@ -250,7 +250,7 @@ def _census(n: int) -> Counter:
     and it builds no sort key for a ring over Z_n.
     """
     n = _modulus(n)
-    census = Counter({r for r, _ in _base_rings(n, True) if not r._split_sections})
+    census = Counter(r for r in {r for r, _ in _base_rings(n, True)} if not r._split_sections)
     rivals = _rivals(n)
     for section, s, core, ts in _pairs(n):
         fs = frozenset(s._subgroup_orders + s._split_sections)

@@ -19,8 +19,9 @@ from schur.enumeration import enumerate_rings
 def test_section_validation():
     Section(2, 4)
     Section(3, 3)
-    with pytest.raises(ValueError):
-        Section(3, 4)
+    for k, h in ((3, 4), (2, 0), (2, -4), (3, -3)):
+        with pytest.raises(ValueError, match="section requires positive k"):
+            Section(k, h)
     for k, h in ((2.0, 4), (2, 4.0)):
         with pytest.raises(ValueError, match="expected an integer"):
             Section(k, h)
@@ -209,19 +210,33 @@ def test_constructors_refuse_large_n_before_allocating():
     import tracemalloc
 
     n = 2 * 10**6
-    message = f"a partition of Z_n needs 1 <= n <= 65535 residues, got {n}"
+    message = "a partition of Z_n needs 1 <= n <= 65535 residues, got {}"
     with pytest.raises(ValueError) as raised:
         SchurPartition(bytes(n))
-    assert str(raised.value) == message
-    for call in (trivial_ring, discrete_ring, lambda n: SchurPartition.from_sets(n, [range(n)])):
+    assert str(raised.value) == message.format(n)
+    d257, d263, d1021 = map(discrete_ring, (257, 263, 1021))
+    unit_one = UnitSubgroup(70001, (1,))
+    calls = [
+        (lambda: trivial_ring(n), n),
+        (lambda: discrete_ring(n), n),
+        (lambda: SchurPartition.from_sets(n, [range(n)]), n),
+        # each factor fits, the product does not
+        (lambda: direct_product(d257, d263), 257 * 263),
+        (lambda: wedge_product(d257, d1021, Section(257, 257), 257 * 1021), 257 * 1021),
+        (lambda: orbit_partition(unit_one), 70001),
+    ]
+    for call, size in calls:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as raised:
-                call(n)
+                call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the same bound and message as SchurPartition, with nothing built first
-        assert str(raised.value) == message, call
-        assert peak < 2**20, (call, peak)
+        assert str(raised.value) == message.format(size), size
+        assert peak < 2**20, (size, peak)
+    # wedge_product reads its modulus as the other constructors do
+    with pytest.raises(ValueError, match="expected an integer"):
+        wedge_product(discrete_ring(4), discrete_ring(6), Section(2, 4), 12.0)
     assert trivial_ring(65535).n == discrete_ring(65535).n == 65535

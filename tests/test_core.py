@@ -140,7 +140,8 @@ def test_signature_digits_are_class_product_coefficients():
     # does: digit d of a class's signature at g, in that mixed radix, is then
     # its product's coefficient at g with class d. A coefficient of a*b is at
     # most |b|, so no digit carries, and every slot stays below the product
-    # of all |D| + 1, in the narrowest slot _slot_size picks for it
+    # of all |D| + 1, in the narrowest slot _slot_size picks for it. The same
+    # rows at a forced 16-byte slot give each residue its slot's own bytes
     partitions = pairs = 0
     for n in range(2, 10):
         for labels in _all_label_vectors(n):
@@ -153,13 +154,25 @@ def test_signature_digits_are_class_product_coefficients():
                 weights.append(weights[-1] * (len(c) + 1))
             size = _slot_size(weights.pop() - 1)
             assert size == (1 if weights[-1] * (sizes[-1] + 1) <= 256 else 2)
-            row = sum(weights[c] << 8 * size * g for g, c in enumerate(labels * 2))
+            rows = {
+                width: sum(weights[c] << 8 * width * g for g, c in enumerate(labels * 2))
+                for width in (size, 16)
+            }
             for a in classes:
-                words = _signature(row, a, n, size)
-                # the words hold the sum's little-endian bytes, read in native order
+                # firsts = range(n) compares each value with itself, so none is refused
+                words = _signature(rows[size], a, n, size, range(n))
+                # one word per residue, the slot's little-endian bytes read in native order
                 data = array("B" if size == 1 else "H", words).tobytes()
                 starts = range(0, n * size, size)
                 slots = [int.from_bytes(data[g : g + size], "little") for g in starts]
+                wide = _signature(rows[16], a, n, 16, range(n))
+                assert [int.from_bytes(v, "little") for v in wide] == slots, (labels, a)
+                # given each residue's least class member, None exactly off a constant class
+                firsts = [classes[c][0] for c in labels]
+                constant = all(slots[g] == slots[f] for g, f in enumerate(firsts))
+                for width in (size, 16):
+                    sig = _signature(rows[width], a, n, width, firsts)
+                    assert (sig is not None) == constant, (labels, a, width)
                 for d, b in enumerate(classes):
                     product = _class_product(a, b, n, labels, sizes)[0]
                     digits = [slot // weights[d] % (len(b) + 1) for slot in slots]

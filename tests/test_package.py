@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import schur
 from schur import automorphic, brute_force, constructions, core, enumeration, formulas
 
@@ -71,3 +76,17 @@ def test_package_exports_are_pinned():
         "wedge_product",
     ]
     assert schur.__version__ == "0.1.0"
+
+
+def test_import_leaves_array_unloaded():
+    # the signature kernel decodes its words through memoryview; `array` alone costs RSS
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, schur; print('array' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
