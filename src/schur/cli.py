@@ -3,22 +3,20 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage error. All output is
 deterministic; diagnostics go to stderr. n > MAX_ENUMERATED_N is a usage error
 but for `count --method formula`, and so is `table --verify` with --max above
-it. The brute-force search limit can be raised with the SCHUR_ORACLE_LIMIT
-environment variable (default 14); a value that is not a positive integer
-makes `count --method oracle` and `verify` exit 2, and so does a search it
-would run past MAX_SEARCH_N (256), whatever the limit.
+it. The brute-force ring oracle runs for n <= DEFAULT_SEARCH_LIMIT (14), and
+past it only under `verify --deep`; `verify` runs it first, so a search that
+brute_force_schur_rings refuses exits 2 before any enumeration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Iterator
 
 from schur.automorphic import aut_subgroup_count
-from schur.brute_force import DEFAULT_SEARCH_LIMIT, MAX_SEARCH_N, brute_force_schur_rings
+from schur.brute_force import DEFAULT_SEARCH_LIMIT, brute_force_schur_rings
 from schur.core import SchurPartition, check_schur_axioms
 from schur.enumeration import EnumerationResult, enumerate_rings, ring_count
 from schur.formulas import (
@@ -31,25 +29,7 @@ from schur.formulas import (
     semiprime_factors,
 )
 
-ORACLE_LIMIT_ENV = "SCHUR_ORACLE_LIMIT"
 MAX_ENUMERATED_N = 10**4  # building the rings of Z_n allocates n labels per ring
-
-
-def _oracle_limit(n: int, forced: bool) -> int | None:
-    """The brute-force limit, or None after reporting a bad setting or a search past the bound."""
-    raw = os.environ.get(ORACLE_LIMIT_ENV)
-    try:
-        limit = DEFAULT_SEARCH_LIMIT if raw is None else int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        error = f"{ORACLE_LIMIT_ENV} must be a positive integer, got {raw!r}"
-    elif (n <= limit or forced) and n > MAX_SEARCH_N:
-        error = f"n={n} exceeds the brute-force bound {MAX_SEARCH_N}"
-    else:
-        return limit
-    print(f"error: {error}", file=sys.stderr)
-    return None
 
 
 def _formula_count(n: int) -> int | None:
@@ -77,14 +57,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
             )
             return 2
     elif method == "oracle":
-        limit = _oracle_limit(n, False)
-        if limit is None:
+        if n > DEFAULT_SEARCH_LIMIT:
+            error = f"n={n} exceeds the oracle limit {DEFAULT_SEARCH_LIMIT}"
+            print(f"error: {error} (`schur verify {n} --deep` forces the search)", file=sys.stderr)
             return 2
-        if n > limit:
-            error = f"n={n} exceeds the oracle limit {limit} (set {ORACLE_LIMIT_ENV} to override)"
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        value = len(brute_force_schur_rings(n, force=True))
+        value = len(brute_force_schur_rings(n))
     else:
         value = ring_count(n)
     print(f"Omega({n}) = {value} [{method}]")
@@ -164,10 +141,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    n = args.n
-    limit = _oracle_limit(n, args.deep)
-    if limit is None:
-        return 2
+    n, limit, oracle = args.n, DEFAULT_SEARCH_LIMIT, None
+    if n <= limit or args.deep:
+        try:
+            oracle = brute_force_schur_rings(n, force=args.deep)
+        except ValueError as exc:  # past the search's bound, refused before it allocates
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if n > limit:
+            print(f"warning: forcing brute-force search at n={n} (limit {limit})", file=sys.stderr)
     checks: list[tuple[str, bool | None, str]] = []  # (name, ok/None=skip, detail)
     result = enumerate_rings(n)
     omega = result.omega
@@ -201,14 +183,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         detail += f"{trivial} trivial"
         checks.append(("family split", split_ok, detail))
 
-    if n <= limit or args.deep:
-        if n > limit:
-            print(f"warning: forcing brute-force search at n={n} (limit {limit})", file=sys.stderr)
-        oracle = brute_force_schur_rings(n, force=True)
+    if oracle is None:
+        checks.append(("oracle", None, f"n={n} exceeds limit {limit}; use --deep to force"))
+    else:
         detail = f"brute-force search found {len(oracle)} rings"
         checks.append(("oracle", set(oracle) == set(result.rings), detail))
-    else:
-        checks.append(("oracle", None, f"n={n} exceeds limit {limit}; use --deep to force"))
 
     failed = False
     for name, ok, detail in checks:

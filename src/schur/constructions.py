@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from schur.core import SchurPartition, _modulus, _residue_count, quotient, restrict, s_subgroups
+from schur.core import SchurPartition, _modulus, _residue_count, quotient, restrict
 from schur.formulas import _integer
 
 __all__ = [
@@ -68,18 +68,20 @@ def direct_product(s: SchurPartition, t: SchurPartition) -> SchurPartition:
 
 
 def wedge_compatible(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> bool:
-    """True when S over Z_h and T over Z_{n/k} agree on the shared section.
+    """True when S over Z_h and T over Z_{n/k} agree on the shared section of Z_n.
 
-    Needs the order-k subgroup to be an S-subgroup of S, the order-(h/k)
-    subgroup to be an S-subgroup of T, and the pushforward of S by k to equal
-    the restriction of T to h/k. Trivial sections (k = h) always pass.
+    Needs U = (k, h) proper in Z_n, S on Z_h and T on Z_{n/k}, the order-k
+    subgroup to be an S-subgroup of S, the order-(h/k) subgroup to be an
+    S-subgroup of T, and the pushforward of S by k to equal the restriction
+    of T to h/k. Trivial sections (k = h) pass once the shapes fit.
     """
-    k, h = u.k, u.h
-    if k not in s_subgroups(s):
+    k, h, n = u.k, u.h, _integer(n)
+    if not (u.is_proper_in(n) and s.n == h and t.n == n // k):
         return False
-    if h // k not in s_subgroups(t):
+    try:
+        return quotient(s, k) == restrict(t, h // k)
+    except ValueError:  # no such S-subgroup, or S's class images under K overlap
         return False
-    return quotient(s, k) == restrict(t, h // k)
 
 
 def wedge_product(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> SchurPartition:

@@ -410,7 +410,7 @@ def s_subgroups(p: SchurPartition) -> tuple[int, ...]:
 
 def restrict(p: SchurPartition, d: int) -> SchurPartition:
     """The subring partition living on the order-d subgroup, relabelled to Z_d."""
-    if d not in s_subgroups(p):
+    if (d := _integer(d)) not in s_subgroups(p):
         raise ValueError(f"order-{d} subgroup is not an S-subgroup of the partition")
     return SchurPartition(p.labels[:: p.n // d])
 
@@ -427,7 +427,7 @@ def quotient(p: SchurPartition, k: int) -> SchurPartition:
     does, each image is the set of residues with one key. So the distinct
     keys' sizes must add up to the number of classes.
     """
-    if k not in s_subgroups(p):
+    if (k := _integer(k)) not in s_subgroups(p):
         raise ValueError(f"order-{k} subgroup is not an S-subgroup of the partition")
     labels = p.labels
     m = len(labels) // k

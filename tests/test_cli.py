@@ -185,43 +185,30 @@ def test_usage_error_exit_code(capsys):
     assert code == 2 and "positive" in err
 
 
-def test_oracle_limit_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SCHUR_ORACLE_LIMIT", "15")
-    code, out, _ = run(capsys, "count", "15", "--method", "oracle")
-    assert code == 0 and out == "Omega(15) = 21 [oracle]\n"
-
-
-def test_oracle_limit_env_invalid_is_usage_error(capsys, monkeypatch):
-    def never(n):
-        raise AssertionError("enumeration started before the limit was checked")
-
-    monkeypatch.setattr("schur.cli.enumerate_rings", never)
-    for raw in ("abc", "", "1.5", "0", "-3"):
+def test_oracle_limit_env_is_ignored(capsys, monkeypatch):
+    # the search limit is DEFAULT_SEARCH_LIMIT alone; no environment value moves it
+    for raw in ("15", "abc", "", "0"):
         monkeypatch.setenv("SCHUR_ORACLE_LIMIT", raw)
-        for argv in (("count", "12", "--method", "oracle"), ("verify", "12")):
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and out == "", (raw, argv)
-            assert "SCHUR_ORACLE_LIMIT" in err and "positive integer" in err
+        code, out, _ = run(capsys, "count", "12", "--method", "oracle")
+        assert code == 0 and out == "Omega(12) = 32 [oracle]\n", raw
+        code, out, _ = run(capsys, "verify", "15")
+        assert code == 0 and "SKIP oracle: n=15 exceeds limit 14" in out, raw
+        code, _, err = run(capsys, "count", "15", "--method", "oracle")
+        assert code == 2 and "exceeds the oracle limit" in err, raw
 
 
 def test_search_bound_is_usage_error(capsys, monkeypatch):
     from schur.brute_force import MAX_SEARCH_N
 
     def never(*args, **kwargs):
-        raise AssertionError("work started before the search bound was checked")
+        raise AssertionError("enumeration started before the search refused")
 
+    # verify runs the search first, and the search refuses before it allocates
     monkeypatch.setattr("schur.cli.enumerate_rings", never)
-    monkeypatch.setattr("schur.cli.brute_force_schur_rings", never)
-    for limit in ("14", "10000"):
-        monkeypatch.setenv("SCHUR_ORACLE_LIMIT", limit)
-        for n in (MAX_SEARCH_N + 1, 9973):
-            argvs = [("verify", str(n), "--deep")]
-            if limit != "14":  # within the limit, the search would run without --deep
-                argvs += [("count", str(n), "--method", "oracle"), ("verify", str(n))]
-            for argv in argvs:
-                code, out, err = run(capsys, *argv)
-                assert code == 2 and out == "", argv
-                assert f"n={n} exceeds the brute-force bound {MAX_SEARCH_N}" in err, argv
+    for n in (MAX_SEARCH_N + 1, 9973):
+        code, out, err = run(capsys, "verify", str(n), "--deep")
+        assert code == 2 and out == "", n
+        assert f"n={n} exceeds the brute-force bound {MAX_SEARCH_N}" in err, n
     # past the limit, verify skips the search, so the bound does not apply
     monkeypatch.undo()
     code, out, _ = run(capsys, "verify", "257")

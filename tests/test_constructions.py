@@ -94,6 +94,19 @@ def test_wedge_compatibility_failure():
     assert not wedge_compatible(discrete_ring(4), trivial_ring(6), Section(2, 4), 12)
     with pytest.raises(ValueError):
         wedge_product(discrete_ring(4), trivial_ring(6), Section(2, 4), 12)
+    # the pushforward of this non-Schur partition by 2 is no partition: the
+    # classes {1,5} and {2} meet in different cosets of the order-2 subgroup
+    s = SchurPartition.from_sets(6, [{0}, {3}, {1, 5}, {2}, {4}])
+    assert not wedge_compatible(s, discrete_ring(6), Section(2, 6), 12)
+    # a pair compatible in Z_12 only: (2, 4) is not proper in Z_7 or Z_4, and
+    # in Z_100 or Z_24 the right factor would live on Z_50 or Z_12
+    z6pm = direct_product(discrete_ring(2), trivial_ring(3))
+    assert wedge_compatible(discrete_ring(4), z6pm, Section(2, 4), 12)
+    for n in (100, 7, 24, 4):
+        assert not wedge_compatible(discrete_ring(4), z6pm, Section(2, 4), n), n
+    assert not wedge_compatible(discrete_ring(2), z6pm, Section(2, 4), 12)
+    with pytest.raises(ValueError, match="12.0"):
+        wedge_compatible(discrete_ring(4), z6pm, Section(2, 4), 12.0)
 
 
 def test_wedge_rejects_bad_shapes():

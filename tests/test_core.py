@@ -332,6 +332,11 @@ def test_non_integer_input_is_refused():
         SchurPartition.from_json_dict({"n": 3, "classes": [[0], [1.5, 2]]})
     with pytest.raises(ValueError, match="'1'"):
         SchurPartition.from_sets(3, [{0}, {"1", 2}])
+    # 2.0 is among the S-subgroup orders, but no slice step
+    with pytest.raises(ValueError, match="2.0"):
+        restrict(discrete_ring(4), 2.0)
+    with pytest.raises(ValueError, match="2.0"):
+        quotient(discrete_ring(4), 2.0)
 
 
 def test_subset_validation():
