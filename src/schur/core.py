@@ -254,41 +254,6 @@ class AxiomViolation:
         return f"axiom {self.axiom}: {self.message}"
 
 
-def _class_product(
-    a: Sequence[int], b: Sequence[int], n: int, labels: Sequence[int], sizes: Sequence[int]
-) -> tuple[dict[int, int], int]:
-    """The product of two class sums in Z_n, and the first class it is not constant on.
-
-    Returns the coefficient of each residue on the product's support, in
-    first-hit order, and the label of the first class whose coefficients
-    differ (scanning the support in that order), or -1 if there is none.
-    labels[g] is the label of g's class and sizes[c] the size of class c.
-    Only the support is scanned, so a pair costs O(|a||b|) whatever n is.
-    Only check_schur_axioms, to word a violation, and the test references call it.
-    """
-    acc: dict[int, int] = {}
-    for x in a:
-        for y in b:
-            g = (x + y) % n
-            acc[g] = acc.get(g, 0) + 1
-    hits: dict[int, list[int]] = {}
-    for g, v in acc.items():
-        c = labels[g]
-        rec = hits.get(c)
-        if rec is None:
-            hits[c] = [v, 1]
-        elif rec[0] != v:
-            return acc, c
-        else:
-            rec[1] += 1
-    # a class only partially covered by the support mixes a zero
-    # coefficient with a positive one
-    for c, (_, count) in hits.items():
-        if count != sizes[c]:
-            return acc, c
-    return acc, -1
-
-
 _WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # word bytes to a struct and memoryview format
 
 
@@ -382,10 +347,17 @@ def check_schur_axioms(p: SchurPartition) -> AxiomViolation | None:
                 )
     if _products_constant(labels, classes):
         return None
-    sizes = [len(c) for c in classes]
+    # the first pair, and in its product's support, in the order x + y first hits it, the
+    # first class with two coefficients; else the first class hit that the support only
+    # partly covers, so it holds a zero coefficient too
     for i, a in enumerate(classes):
         for b in classes[i:]:
-            bad = _class_product(a, b, n, labels, sizes)[1]
+            hits = [(labels[g], v) for g, v in Counter((x + y) % n for x in a for y in b).items()]
+            first: dict[int, int] = {}
+            bad = next((c for c, v in hits if first.setdefault(c, v) != v), -1)
+            if bad < 0:
+                covered = Counter(c for c, _ in hits)
+                bad = next((c for c, k in covered.items() if k != len(classes[c])), -1)
             if bad >= 0:
                 return AxiomViolation(
                     3,

@@ -6,7 +6,6 @@ the scales these formulas are evaluated at (well below 10**6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 from operator import index
@@ -20,8 +19,6 @@ __all__ = [
     "two_adic_split",
     "semiprime_factors",
     "four_p_factor",
-    "SemiprimeProfile",
-    "FourPProfile",
     "subgroup_lattice_size",
     "count_prime",
     "count_semiprime",
@@ -145,56 +142,6 @@ def four_p_factor(n: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class SemiprimeProfile:
-    """Joint factorization shape of p - 1 and q - 1 over a shared prime list.
-
-    primes lists every prime dividing (p-1)(q-1); the exponent vectors may
-    contain zeros so that both numbers live over the same support.
-    """
-
-    p: int
-    q: int
-    primes: tuple[int, ...]
-    p_exponents: tuple[int, ...]
-    q_exponents: tuple[int, ...]
-
-    @classmethod
-    def from_primes(cls, p: int, q: int) -> "SemiprimeProfile":
-        if not (is_prime(p) and is_prime(q)):
-            raise ValueError(f"{p} and {q} must both be prime")
-        if p == q:
-            raise ValueError("p and q must be distinct")
-        fp = dict(factorize(p - 1))
-        fq = dict(factorize(q - 1))
-        primes = tuple(sorted(set(fp) | set(fq)))
-        return cls(
-            p=p,
-            q=q,
-            primes=primes,
-            p_exponents=tuple(fp.get(r, 0) for r in primes),
-            q_exponents=tuple(fq.get(r, 0) for r in primes),
-        )
-
-
-@dataclass(frozen=True)
-class FourPProfile:
-    """Shape data for a modulus 4p: p = 2**k * a + 1 with a odd."""
-
-    p: int
-    k: int
-    a: int
-    x: int  # number of divisors of p - 1; always divisible by k + 1
-
-    @classmethod
-    def from_prime(cls, p: int) -> "FourPProfile":
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"expected an odd prime, got {p}")
-        k, a = two_adic_split(p - 1)
-        x = divisor_count(p - 1)
-        return cls(p=p, k=k, a=a, x=x)
-
-
 def subgroup_lattice_size(r: int, k: int, ell: int) -> int:
     """Number of subgroups of Z_{r^k} x Z_{r^ell} for a prime r."""
     r, k, ell = map(_integer, (r, k, ell))
@@ -223,12 +170,16 @@ def count_semiprime(p: int, q: int) -> int:
     subgroup lattice size evaluated prime by prime over the shared support
     of p - 1 and q - 1.
     """
-    prof = SemiprimeProfile.from_primes(p, q)
-    lattice = prod(map(subgroup_lattice_size, prof.primes, prof.p_exponents, prof.q_exponents))
-    wedges = 2 * prod(
-        (k + 1) * (ell + 1)
-        for k, ell in zip(prof.p_exponents, prof.q_exponents)
-    )
+    if not (is_prime(p) and is_prime(q)):
+        raise ValueError(f"{p} and {q} must both be prime")
+    if p == q:
+        raise ValueError("p and q must be distinct")
+    fp, fq = dict(factorize(p - 1)), dict(factorize(q - 1))
+    primes = sorted(fp.keys() | fq.keys())
+    ks = [fp.get(r, 0) for r in primes]  # zero where r divides only q - 1
+    ells = [fq.get(r, 0) for r in primes]
+    lattice = prod(map(subgroup_lattice_size, primes, ks, ells))
+    wedges = 2 * prod((k + 1) * (ell + 1) for k, ell in zip(ks, ells))
     return lattice + wedges + 1
 
 
@@ -240,13 +191,10 @@ def _divide_exactly(a: int, b: int) -> int:
     return value
 
 
-def count_semiprime_split(p: int, q: int, *, totient_coefficient: bool = True) -> int:
+def count_semiprime_split(p: int, q: int) -> int:
     """Semiprime count via the 2-adic shapes p = 2**k*a + 1, q = 2**l*b + 1.
 
-    Requires gcd(a, b) = 1. The j-th summand carries phi(2**j) = 2**(j-1);
-    passing totient_coefficient=False replaces it with 2**j, a plausible
-    looking variant that overcounts (e.g. 79 instead of 67 at p=5, q=13) and
-    is kept only so the discrepancy can be demonstrated.
+    Requires gcd(a, b) = 1. The j-th summand carries phi(2**j) = 2**(j-1).
     """
     if not (is_prime(p) and is_prime(q)) or p == q:
         raise ValueError(f"{p}, {q} must be distinct primes")
@@ -258,27 +206,31 @@ def count_semiprime_split(p: int, q: int, *, totient_coefficient: bool = True) -
     y = divisor_count(q - 1)
     bracket = 3 * (k + 1) * (ell + 1)
     for j in range(1, min(k, ell) + 1):
-        coeff = euler_phi(2**j) if totient_coefficient else 2**j
-        bracket += coeff * (k - j + 1) * (ell - j + 1)
+        bracket += euler_phi(2**j) * (k - j + 1) * (ell - j + 1)
     return bracket * _divide_exactly(x * y, (k + 1) * (ell + 1)) + 1
+
+
+def _odd_prime_shape(p: int) -> tuple[int, int]:
+    """(k, x) for an odd prime p: 2**k exactly divides p - 1, and x = tau(p - 1)."""
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"expected an odd prime, got {p}")
+    return two_adic_split(p - 1)[0], divisor_count(p - 1)
 
 
 def count_2p(p: int) -> int:
     """Number of Schur rings over Z_2p: 3*tau(p-1) + 1."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"expected an odd prime, got {p}")
-    return 3 * divisor_count(p - 1) + 1
+    return 3 * _odd_prime_shape(p)[1] + 1
 
 
 def count_3p(p: int) -> int:
     """Number of Schur rings over Z_3p for a prime p != 3."""
     if not is_prime(p) or p == 3:
         raise ValueError(f"expected a prime different from 3, got {p}")
-    prof = FourPProfile.from_prime(p) if p != 2 else None
-    if prof is None:
+    if p == 2:
         # p = 2 reduces to the 2p = 6 case counted the other way around
         return count_2p(3)
-    return _divide_exactly((7 * prof.k + 6) * prof.x, prof.k + 1) + 1
+    k, x = _odd_prime_shape(p)
+    return _divide_exactly((7 * k + 6) * x, k + 1) + 1
 
 
 def count_5p(p: int) -> int:
@@ -287,11 +239,11 @@ def count_5p(p: int) -> int:
         raise ValueError(f"expected a prime different from 5, got {p}")
     if p == 2:
         return count_2p(5)
-    prof = FourPProfile.from_prime(p)
-    return _divide_exactly((13 * prof.k + 7) * prof.x, prof.k + 1) + 1
+    k, x = _odd_prime_shape(p)
+    return _divide_exactly((13 * k + 7) * x, k + 1) + 1
 
 
 def count_4p(p: int) -> int:
     """Number of Schur rings over Z_4p: ((15k + 14)/(k + 1)) * x + 3."""
-    prof = FourPProfile.from_prime(p)
-    return _divide_exactly((15 * prof.k + 14) * prof.x, prof.k + 1) + 3
+    k, x = _odd_prime_shape(p)
+    return _divide_exactly((15 * k + 14) * x, k + 1) + 3

@@ -51,6 +51,8 @@ from schur.formulas import (
     two_adic_split,
 )
 
+from _reference import count_semiprime_split_2j
+
 SEMIPRIME_COUNTS = {
     6: 7, 10: 10, 14: 13, 15: 21, 21: 27, 22: 13,
     26: 19, 33: 27, 34: 16, 35: 41, 38: 19, 39: 41,
@@ -337,7 +339,7 @@ def test_criterion_10_specialization_coherence():
             if gcd(a, b) == 1:
                 ok = ok and count_semiprime_split(p, q) == count_semiprime(p, q)
                 pairs += 1
-    diag_bad = count_semiprime_split(5, 13, totient_coefficient=False)
+    diag_bad = count_semiprime_split_2j(5, 13)
     diag_good = count_semiprime_split(5, 13)
     ok = ok and diag_bad == 79 and diag_good == 67
     _report(

@@ -10,9 +10,11 @@ from schur.brute_force import (
     brute_force_subgroup_count,
 )
 from schur.constructions import discrete_ring, trivial_ring, wedge_product, Section
-from schur.core import SchurPartition, _class_product, check_schur_axioms, is_schur_partition
+from schur.core import SchurPartition, check_schur_axioms, is_schur_partition
 from schur.enumeration import enumerate_rings
 from schur.formulas import is_prime
+
+from _reference import _class_product
 
 
 def _bits(mask):

@@ -1,8 +1,6 @@
 import pytest
 
 from schur.formulas import (
-    FourPProfile,
-    SemiprimeProfile,
     count_2p,
     count_3p,
     count_4p,
@@ -20,6 +18,8 @@ from schur.formulas import (
     subgroup_lattice_size,
     two_adic_split,
 )
+
+from _reference import count_semiprime_split_2j
 
 PRIMES_TO_500 = [p for p in range(2, 500) if is_prime(p)]
 
@@ -131,7 +131,7 @@ def test_split_form_agrees_and_wrong_coefficient_detected():
     assert count_semiprime_split(3, 7) == 27
     assert count_semiprime_split(5, 13) == 67
     # the 2**j coefficient variant overcounts
-    assert count_semiprime_split(5, 13, totient_coefficient=False) == 79
+    assert count_semiprime_split_2j(5, 13) == 79
     # odd parts of 7-1 and 13-1 are both 3, so the split form does not apply
     with pytest.raises(ValueError):
         count_semiprime_split(13, 7)
@@ -170,26 +170,39 @@ def test_safe_prime_constants():
                 assert count_semiprime(p, q) == 53
 
 
-def test_semiprime_profile_reconstructs_inputs():
-    prof = SemiprimeProfile.from_primes(7, 13)
-    assert prof.primes == (2, 3)
-    rebuilt_p = 1
-    for r, e in zip(prof.primes, prof.p_exponents):
-        rebuilt_p *= r**e
-    assert rebuilt_p + 1 == 7
-    rebuilt_q = 1
-    for r, e in zip(prof.primes, prof.q_exponents):
-        rebuilt_q *= r**e
-    assert rebuilt_q + 1 == 13
+def test_semiprime_count_is_the_prime_by_prime_lattice_product():
+    # 7 - 1 = 2 * 3 and 13 - 1 = 2**2 * 3 over the shared support (2, 3)
+    lattice = subgroup_lattice_size(2, 1, 2) * subgroup_lattice_size(3, 1, 1)
+    wedges = 2 * divisor_count(6) * divisor_count(12)
+    assert count_semiprime(7, 13) == lattice + wedges + 1 == 97
+    # a prime dividing only one of p - 1, q - 1 enters with exponent 0 on the other side
+    assert count_semiprime(7, 11) == (
+        subgroup_lattice_size(2, 1, 1)
+        * subgroup_lattice_size(3, 1, 0)
+        * subgroup_lattice_size(5, 0, 1)
+        + 2 * divisor_count(6) * divisor_count(10)
+        + 1
+    )
 
 
-def test_fourp_profile_invariants():
-    prof = FourPProfile.from_prime(13)
-    assert (prof.k, prof.a, prof.x) == (2, 3, 6)
-    assert prof.p == 2**prof.k * prof.a + 1
-    assert prof.x % (prof.k + 1) == 0
-    with pytest.raises(ValueError):
-        FourPProfile.from_prime(2)
+def test_fourp_count_from_its_two_adic_shape():
+    # 13 - 1 = 2**2 * 3: k = 2, a = 3 and x = tau(12) = 6, a multiple of k + 1
+    k, a = two_adic_split(12)
+    x = divisor_count(12)
+    assert (k, a, x) == (2, 3, 6)
+    assert count_4p(13) == (15 * k + 14) * x // (k + 1) + 3 == 91
+
+
+def test_closed_forms_refuse_bad_primes_by_name():
+    with pytest.raises(ValueError, match="^4 and 7 must both be prime$"):
+        count_semiprime(4, 7)
+    with pytest.raises(ValueError, match="^p and q must be distinct$"):
+        count_semiprime(7, 7)
+    for count in (count_2p, count_4p):
+        with pytest.raises(ValueError, match="^expected an odd prime, got 2$"):
+            count(2)
+        with pytest.raises(ValueError, match="^expected an odd prime, got 9$"):
+            count(9)
 
 
 def test_all_formula_outputs_positive():

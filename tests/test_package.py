@@ -25,11 +25,9 @@ def test_package_exports_are_pinned():
         "DEFAULT_SEARCH_LIMIT",
         "EnumerationResult",
         "FAMILY_TAGS",
-        "FourPProfile",
         "MAX_SEARCH_N",
         "SchurPartition",
         "Section",
-        "SemiprimeProfile",
         "UnitGroup",
         "UnitSubgroup",
         "all_subgroups",
