@@ -72,12 +72,12 @@ def _json_pieces(result: EnumerationResult) -> Iterator[str]:
     """The compact `enumerate --json` record, one piece per ring, tag set and census entry."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     tags = {t: encode(sorted(t)) for t in set(result.tags)}  # at most 16 distinct sets
-    census = ({"core": c.to_json_dict(), "order": c.n, "count": k} for c, k in result.core_census)
+    census = (f'{{"core":{c._json()},"order":{c.n},"count":{k}}}' for c, k in result.core_census)
     yield f'{{"n":{result.n},"omega":{result.omega}'
     for name, pieces in [
         ("rings", map(SchurPartition._json, result.rings)),
         ("tags", map(tags.__getitem__, result.tags)),
-        ("core_census", map(encode, census)),
+        ("core_census", census),
     ]:
         yield f',"{name}":['
         yield from ("," * bool(i) + piece for i, piece in enumerate(pieces))

@@ -23,7 +23,6 @@ __all__ = [
     "wedge_compatible",
     "wedge_product",
     "find_wedge_section",
-    "is_wedge_decomposable",
     "wedge_core",
 ]
 
@@ -68,24 +67,22 @@ def direct_product(s: SchurPartition, t: SchurPartition) -> SchurPartition:
 
 
 def wedge_compatible(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> bool:
-    """True when S over Z_h and T over Z_{n/k} agree on the shared section of Z_n.
-
-    Needs U = (k, h) proper in Z_n, S on Z_h and T on Z_{n/k}, the order-k
-    subgroup to be an S-subgroup of S, the order-(h/k) subgroup to be an
-    S-subgroup of T, and the pushforward of S by k to equal the restriction
-    of T to h/k. Trivial sections (k = h) pass once the shapes fit.
-    """
-    k, h, n = u.k, u.h, _integer(n)
-    if not (u.is_proper_in(n) and s.n == h and t.n == n // k):
-        return False
+    """True when wedge_product(s, t, u, n) accepts its arguments; n must be an integer."""
+    n = _integer(n)
     try:
-        return quotient(s, k) == restrict(t, h // k)
-    except ValueError:  # no such S-subgroup, or S's class images under K overlap
+        wedge_product(s, t, u, n)
+    except ValueError:
         return False
+    return True
 
 
 def wedge_product(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> SchurPartition:
-    """Wedge of S over Z_h with T over Z_{n/k} along the section U = (k, h)."""
+    """Wedge of S over Z_h with T over Z_{n/k} along the section U = (k, h).
+
+    Needs U proper in Z_n, S on Z_h, T on Z_{n/k}, and the pushforward of S by
+    k equal to the restriction of T to h/k, which quotient and restrict refuse
+    when a subgroup is not an S-subgroup or S's class images overlap.
+    """
     k, h, n = u.k, u.h, _residue_count(_modulus(n))
     if not u.is_proper_in(n):
         raise ValueError(f"section ({k},{h}) is not proper in Z_{n}")
@@ -93,7 +90,7 @@ def wedge_product(s: SchurPartition, t: SchurPartition, u: Section, n: int) -> S
         raise ValueError(f"left factor lives on Z_{s.n}, expected Z_{h}")
     if t.n != n // k:
         raise ValueError(f"right factor lives on Z_{t.n}, expected Z_{n // k}")
-    if not wedge_compatible(s, t, u, n):
+    if quotient(s, k) != restrict(t, h // k):
         raise ValueError(
             f"incompatible wedge: pushforward of the Z_{h} factor by {k} must "
             f"equal the restriction of the Z_{n // k} factor to {h // k}"
@@ -118,10 +115,6 @@ def find_wedge_section(p: SchurPartition) -> Section | None:
     return Section(*sections[0]) if sections else None
 
 
-def is_wedge_decomposable(p: SchurPartition) -> bool:
-    return find_wedge_section(p) is not None
-
-
 def wedge_core(p: SchurPartition) -> SchurPartition:
     """Maximal wedge-indecomposable subring, reached by repeated splitting.
 
@@ -129,9 +122,6 @@ def wedge_core(p: SchurPartition) -> SchurPartition:
     restriction to the order-h subgroup until nothing splits. The order of
     the core is the modulus of the returned partition.
     """
-    current = p
-    while True:
-        section = find_wedge_section(current)
-        if section is None:
-            return current
-        current = restrict(current, section.h)
+    while p._split_sections:
+        p = restrict(p, p._split_sections[0][1])
+    return p

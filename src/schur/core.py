@@ -102,13 +102,17 @@ class SchurPartition:
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SchurPartition":
         """Partition of Z_n with the given classes, in any order.
 
-        Rejects non-integers, an empty class, a member outside 0..n-1,
-        classes that overlap, and classes that do not cover Z_n.
+        Rejects with ValueError: sets or a class that is not iterable,
+        non-integers, an empty class, a member outside 0..n-1, classes that
+        overlap, and classes that do not cover Z_n.
         """
         n = _modulus(n)
         labels = [-1] * _residue_count(n)
-        for i, s in enumerate(sets):
-            members = set(map(_integer, s))
+        try:
+            classes = [set(map(_integer, s)) for s in sets]
+        except TypeError:  # sets, or one of its classes, is not iterable
+            raise ValueError(f"expected an iterable of classes, got {sets!r:.80}") from None
+        for i, members in enumerate(classes):
             if not members:
                 raise ValueError("empty class")
             for x in members:
@@ -207,6 +211,9 @@ class SchurPartition:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SchurPartition":
+        """from_sets(obj["n"], obj["classes"]); ValueError unless obj is a dict holding both."""
+        if not (isinstance(obj, dict) and "n" in obj and "classes" in obj):
+            raise ValueError(f'expected a dict with keys "n" and "classes", got {obj!r:.80}')
         return cls.from_sets(obj["n"], obj["classes"])
 
     def __str__(self) -> str:

@@ -96,8 +96,8 @@ def _base_rings(n: int, unsplit_factors: bool = False) -> Iterator[tuple[SchurPa
         yield ring, 2
     for a, b in _coprime_splits(n):
         lefts, rights = (
-            [r for r, core in zip(res.rings, res._cores) if not unsplit_factors or core.n == res.n]
-            for res in (enumerate_rings(a), enumerate_rings(b))
+            [r for r in enumerate_rings(m).rings if not (unsplit_factors and r._split_sections)]
+            for m in (a, b)
         )
         for s in lefts:
             for t in rights:

@@ -6,7 +6,6 @@ from schur.constructions import (
     direct_product,
     discrete_ring,
     find_wedge_section,
-    is_wedge_decomposable,
     trivial_ring,
     wedge_compatible,
     wedge_core,
@@ -92,7 +91,7 @@ def test_wedge_compatibility_failure():
     # trivial Z_6 has no subring on the order-2 subgroup
     assert s_subgroups(trivial_ring(6)) == (1, 6)
     assert not wedge_compatible(discrete_ring(4), trivial_ring(6), Section(2, 4), 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order-2 subgroup is not an S-subgroup"):
         wedge_product(discrete_ring(4), trivial_ring(6), Section(2, 4), 12)
     # the pushforward of this non-Schur partition by 2 is no partition: the
     # classes {1,5} and {2} meet in different cosets of the order-2 subgroup
@@ -107,16 +106,22 @@ def test_wedge_compatibility_failure():
     assert not wedge_compatible(discrete_ring(2), z6pm, Section(2, 4), 12)
     with pytest.raises(ValueError, match="12.0"):
         wedge_compatible(discrete_ring(4), z6pm, Section(2, 4), 12.0)
+    # wedge_compatible means wedge_product accepts: both factors fit, Z_n does not
+    d257, d1021 = discrete_ring(257), discrete_ring(1021)
+    assert not wedge_compatible(d257, d1021, Section(257, 257), 257 * 1021)
 
 
 def test_wedge_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        wedge_product(discrete_ring(3), discrete_ring(7), Section(3, 3), 22)
-    with pytest.raises(ValueError):
-        wedge_product(discrete_ring(3), discrete_ring(3), Section(3, 3), 21)
-    with pytest.raises(ValueError):
+    cases = [
+        (discrete_ring(3), discrete_ring(7), Section(3, 3), 22),
+        (discrete_ring(3), discrete_ring(3), Section(3, 3), 21),
         # section (1, h) is never proper
-        wedge_product(discrete_ring(3), discrete_ring(21), Section(1, 3), 21)
+        (discrete_ring(3), discrete_ring(21), Section(1, 3), 21),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError):
+            wedge_product(*case)
+        assert not wedge_compatible(*case)
 
 
 def test_wedge_round_trip():
@@ -171,7 +176,6 @@ def test_find_wedge_section_examples():
     w = wedge_product(discrete_ring(3), discrete_ring(7), Section(3, 3), 21)
     assert find_wedge_section(w) == Section(3, 3)
     assert find_wedge_section(discrete_ring(12)) is None
-    assert not is_wedge_decomposable(discrete_ring(12))
 
 
 def test_wedge_core_examples():
@@ -184,11 +188,11 @@ def test_wedge_core_is_maximal_indecomposable():
     for n in (12, 20):
         for ring in enumerate_rings(n).rings:
             core = wedge_core(ring)
-            assert not is_wedge_decomposable(core)
+            assert find_wedge_section(core) is None
             assert restrict(ring, core.n) == core
             for e in s_subgroups(ring):
                 if e != core.n and e % core.n == 0:
-                    assert is_wedge_decomposable(restrict(ring, e)), (n, ring, e)
+                    assert find_wedge_section(restrict(ring, e)) is not None, (n, ring, e)
 
 
 def wedge_by_refinement(s, t, u, n):

@@ -299,6 +299,13 @@ def test_checker_matches_reference_on_wide_rows():
     )
     pm103 = [min(y, 103 - y) for y in range(103)]
     cases.append(SchurPartition([(z34.labels[x % 34], pm103[x % 103]) for x in range(3502)]))
+    # a unit-invariant wedge of Z_816 that is no Schur ring: a checker that drops the largest
+    # divisor class, which some unit generator moves, as if all fixed it, finds no failure
+    p16 = SchurPartition.from_sets(
+        16, [{0}, {1, 3, 9, 11}, {2, 6, 10, 14}, {4, 8, 12}, {5, 7, 13, 15}]
+    )
+    z204 = wedge_product(discrete_ring(51), trivial_ring(4), Section(51, 51), 204)
+    cases.append(wedge_product(z204, p16, Section(51, 204), 816))
     for _ in range(60):
         n = rng.randrange(64, 129)
         small = [h for h in all_subgroups(unit_group(n)) if len(h.elements) <= 2]
@@ -323,6 +330,13 @@ def test_partition_validation():
         SchurPartition.from_sets(4, [{0}, {1}])
     with pytest.raises(ValueError):
         SchurPartition.from_sets(4, [{0}, set(), {1, 2, 3}])
+    # malformed outside input is refused with ValueError, not TypeError or KeyError
+    for sets in ([[0], 1, [2]], 5, None):
+        with pytest.raises(ValueError, match="expected an iterable of classes"):
+            SchurPartition.from_sets(3, sets)
+    for obj in ({"n": 3}, {"classes": [[0], [1, 2]]}, [3]):
+        with pytest.raises(ValueError, match='expected a dict with keys "n" and "classes"'):
+            SchurPartition.from_json_dict(obj)
 
 
 def test_non_integer_input_is_refused():

@@ -9,7 +9,7 @@ import pytest
 from schur.automorphic import aut_subgroup_count, orbit_partition, unit_group, UnitSubgroup
 from schur.brute_force import brute_force_schur_rings
 from schur.cli import _json_pieces
-from schur.constructions import discrete_ring, is_wedge_decomposable, trivial_ring
+from schur.constructions import discrete_ring, find_wedge_section, trivial_ring
 from schur.core import canonical_encode, is_schur_partition
 from schur.enumeration import (
     core_census,
@@ -70,7 +70,7 @@ def test_wedge_tag_equals_decomposability():
     for n in (12, 21, 30, 48, 60, 72):
         result = enumerate_rings(n)
         for ring, tags in zip(result.rings, result.tags):
-            assert ("wedge" in tags) == is_wedge_decomposable(ring), (n, ring)
+            assert ("wedge" in tags) == (find_wedge_section(ring) is not None), (n, ring)
 
 
 def test_cores_read_off_the_build_match_wedge_core():
@@ -135,7 +135,7 @@ def test_indecomposable_counts():
 def test_indecomposable_matches_direct_scan():
     for n in (6, 12, 20):
         direct = sum(
-            not is_wedge_decomposable(r) for r in enumerate_rings(n).rings
+            find_wedge_section(r) is None for r in enumerate_rings(n).rings
         )
         assert indecomposable_count(n) == direct
 

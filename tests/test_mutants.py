@@ -1,0 +1,58 @@
+"""Standing mutation checks: each breaks one exact line of a copy of src/ and
+requires the named tests, run on that copy in a child process, to fail.
+
+Each entry is (module under src/schur, the exact line, its replacement, the
+reason it is wrong, test file, -k expression, the number of tests that must fail).
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+pytestmark = pytest.mark.slow
+
+MUTANTS = [
+    (
+        "core.py",
+        "        fixed = [c for c in todo if all(images[classes[c][0]] == c for images in moved)]",
+        "        fixed = todo[:]",
+        "the wide-row checker skips the largest divisor class though a unit generator moves it",
+        "tests/test_core.py",
+        "wide_rows",
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("module, line, mutant, reason, tests, select, failures", MUTANTS)
+def test_mutant_is_killed(tmp_path, module, line, mutant, reason, tests, select, failures):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = src / "schur" / module
+    lines = path.read_text().split("\n")
+    if lines.count(line) != 1:
+        pytest.fail(f"{module} holds the mutated line {lines.count(line)} times, not once")
+    lines[lines.index(line)] = mutant
+    path.write_text("\n".join(lines))
+
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    where = subprocess.run(
+        [sys.executable, "-c", f"import schur.{module[:-3]} as m; print(m.__file__)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    if Path(where.stdout.strip()).resolve() != path.resolve():
+        pytest.fail(f"the child imports {where.stdout.strip() or where.stderr}, not the copy")
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", tests, "-k", select],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    summary = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else out.stderr
+    if out.returncode != 1 or not re.match(rf"{failures} failed\b", summary) or "passed" in summary:
+        pytest.fail(f"{reason}, yet: exit {out.returncode}, {summary}")

@@ -58,7 +58,6 @@ def test_package_exports_are_pinned():
         "indecomposable_count",
         "is_prime",
         "is_schur_partition",
-        "is_wedge_decomposable",
         "orbit_partition",
         "quotient",
         "restrict",
