@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage error. All output is
 deterministic; diagnostics go to stderr. n > MAX_ENUMERATED_N is a usage error
 but for `count --method formula`, and so is `table --verify` with --max above
-it. The brute-force ring oracle runs for n <= DEFAULT_SEARCH_LIMIT (14), and
-past it only under `verify --deep`; `verify` runs it first, so a search that
-brute_force_schur_rings refuses exits 2 before any enumeration.
+it; `count --method formula` refuses n > MAX_FORMULA_N and `table` without
+--verify a --max above MAX_TABLE_N. The brute-force ring oracle runs for
+n <= DEFAULT_SEARCH_LIMIT (14), and past it only under `verify --deep`;
+`verify` runs it first, so a search that brute_force_schur_rings refuses
+exits 2 before any enumeration.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from schur.formulas import (
 )
 
 MAX_ENUMERATED_N = 10**4  # building the rings of Z_n allocates n labels per ring
+MAX_FORMULA_N = 10**12  # so factoring n by trial division takes under 10**6 steps
+MAX_TABLE_N = 50_000  # the table factors every n up to --max by trial division
 
 
 def _formula_count(n: int) -> int | None:
@@ -119,12 +123,10 @@ def _table_rows(family: str, max_n: int) -> Iterator[tuple[int, int]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.verify and args.max > MAX_ENUMERATED_N:
-        print(
-            f"error: --max {args.max} exceeds the enumeration bound {MAX_ENUMERATED_N} "
-            "(needed by --verify)",
-            file=sys.stderr,
-        )
+    bound = MAX_ENUMERATED_N if args.verify else MAX_TABLE_N
+    if args.max > bound:
+        name = "enumeration bound" if args.verify else "table bound"
+        print(f"error: --max {args.max} exceeds the {name} {bound}", file=sys.stderr)
         return 2
     mismatches = 0
     for n, value in _table_rows(args.family, args.max):
@@ -255,8 +257,11 @@ def main(argv: list[str] | None = None) -> int:
     if n is not None and n < 1:
         print("error: n must be a positive integer", file=sys.stderr)
         return 2
-    if n is not None and n > MAX_ENUMERATED_N and getattr(args, "method", None) != "formula":
-        print(f"error: n={n} exceeds the enumeration bound {MAX_ENUMERATED_N}", file=sys.stderr)
+    formula = getattr(args, "method", None) == "formula"
+    bound = MAX_FORMULA_N if formula else MAX_ENUMERATED_N
+    if n is not None and n > bound:
+        name = "closed-form bound" if formula else "enumeration bound"
+        print(f"error: n={n} exceeds the {name} {bound}", file=sys.stderr)
         return 2
     return args.func(args)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from schur.formulas import _integer, _unit_axes, divisors
@@ -75,11 +74,25 @@ class SchurPartition:
     holding one byte per label when n <= 256, else two in native order;
     labels is that object, or above 256 a memoryview(...).cast("H") over it
     made on each access. Equality and hashing are the dataclass's, on those
-    bytes; pickling is the default. classes is decoded from sort_key() on
-    each access, not stored.
+    bytes; a pickle holds the labels. The sort key, S-subgroup orders and
+    split sections are slots filled on first read, with no __dict__, so every
+    partition has one layout. classes is decoded from sort_key(), not stored.
     """
 
+    __slots__ = ("_packed", "_key", "_subgroup_orders", "_split_sections")
     _packed: bytes
+
+    def __getattr__(self, name: str) -> object:
+        # reached when a slot is unset: _make<name> fills it, once
+        make = getattr(SchurPartition, "_make" + name, None)
+        if make is None:
+            raise AttributeError(f"'SchurPartition' object has no attribute {name!r}")
+        value = make(self)
+        object.__setattr__(self, name, value)
+        return value
+
+    def __reduce__(self) -> tuple:
+        return SchurPartition, (list(self.labels),)
 
     def __post_init__(self) -> None:
         keys = self._packed
@@ -136,8 +149,7 @@ class SchurPartition:
         n = len(self._packed)
         return n if n <= 256 else n // 2
 
-    @cached_property
-    def _key(self) -> bytes:
+    def _make_key(self) -> bytes:
         groups = _grouped(self.labels)
         if len(self._packed) <= 254:  # so n <= 254: above 256 it holds 2n bytes
             return b"\0".join(map(bytes, groups))
@@ -166,8 +178,7 @@ class SchurPartition:
         """The classes as ascending member tuples, ordered by least member."""
         return tuple(map(tuple, self._members()))
 
-    @cached_property
-    def _subgroup_orders(self) -> tuple[int, ...]:
+    def _make_subgroup_orders(self) -> tuple[int, ...]:
         # the order-d subgroup is a union of classes exactly when the classes
         # it meets have sizes adding up to d
         n = self.n
@@ -181,8 +192,7 @@ class SchurPartition:
             d for d in divisors(n) if sum(sizes[i] for i in set(labels[:: n // d])) == d
         )
 
-    @cached_property
-    def _split_sections(self) -> tuple[tuple[int, int], ...]:
+    def _make_split_sections(self) -> tuple[tuple[int, int], ...]:
         # the proper sections (k, h) of S-subgroups along which the ring
         # splits as a wedge, k ascending, then h
         n = self.n

@@ -1,17 +1,17 @@
 """Complete enumeration of Schur rings over Z_n and the wedge-core census.
 
 Every Schur ring over a cyclic group is trivial, automorphic, a direct
-product, or a wedge product. enumerate_rings builds all four families
-recursively over divisors and resolves overlaps by deduplicating on the
-canonical partition, not by counting, which keeps it an independent check
-on the closed forms. ring_count, core_census and indecomposable_count count
-without building a wedge over Z_n; tests pin them to it for every n <= 240.
+product, or a wedge product. _build makes all four families recursively over
+divisors, one memoized record per modulus, deduplicating on the canonical
+partition, not by counting; enumerate_rings sorts that record, an independent
+check on the closed forms. ring_count, core_census and indecomposable_count
+count with no wedge over Z_n built; tests pin them to it for every n <= 240.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterator
 
@@ -53,15 +53,14 @@ class EnumerationResult:
     rings: tuple[SchurPartition, ...]
     tags: tuple[frozenset[str], ...]
     core_census: tuple[tuple[SchurPartition, int], ...]
-    # the wedge core of each ring, aligned with rings
-    _cores: tuple[SchurPartition, ...] = field(compare=False, repr=False)
 
     @property
     def omega(self) -> int:
         return len(self.rings)
 
 
-_CACHE: dict[int, EnumerationResult] = {}
+# per modulus, its build record: each ring, in build order, to (family mask, wedge core)
+_CACHE: dict[int, dict[SchurPartition, tuple[int, SchurPartition]]] = {}
 
 
 def _coprime_splits(n: int) -> list[tuple[int, int]]:
@@ -96,7 +95,7 @@ def _base_rings(n: int, unsplit_factors: bool = False) -> Iterator[tuple[SchurPa
         yield ring, 2
     for a, b in _coprime_splits(n):
         lefts, rights = (
-            [r for r in enumerate_rings(m).rings if not (unsplit_factors and r._split_sections)]
+            [r for r in _build(m) if not (unsplit_factors and r._split_sections)]
             for m in (a, b)
         )
         for s in lefts:
@@ -105,16 +104,15 @@ def _base_rings(n: int, unsplit_factors: bool = False) -> Iterator[tuple[SchurPa
 
 
 def _pairs(n: int) -> Iterator[tuple[Section, SchurPartition, SchurPartition, list]]:
-    """(section, S, core of S, the Ts it matches) per kept S, by enumerate_rings' filters."""
+    """(section, S, core of S, the Ts it matches) per kept S, by _build's filters."""
     for k, h in _proper_sections(n):
         hk = h // k
         rights: dict[SchurPartition, list[SchurPartition]] = {}
-        for t in enumerate_rings(n // k).rings:
+        for t in _build(n // k):
             if hk in s_subgroups(t) and all(m % hk for _, m in t._split_sections):
                 rights.setdefault(restrict(t, hk), []).append(t)
         section = Section(k, h)
-        below = enumerate_rings(h)
-        for s, core in zip(below.rings, below._cores):
+        for s, (_, core) in _build(h).items():
             if k in s_subgroups(s) and all(j != k for j, _ in s._split_sections):
                 ts = rights.get(_quotient(s, k))
                 if ts:
@@ -125,8 +123,8 @@ def _sorted_census(census: Counter) -> tuple[tuple[SchurPartition, int], ...]:
     return tuple(sorted(census.items(), key=lambda item: (item[0].n, item[0].sort_key())))
 
 
-def enumerate_rings(n: int) -> EnumerationResult:
-    """Enumerate every Schur ring over Z_n, memoized per modulus.
+def _build(n: int) -> dict[SchurPartition, tuple[int, SchurPartition]]:
+    """The build record of Z_n for a checked n: each ring to (family mask, wedge core), memoized.
 
     R splits along a proper section (k, h) (S-subgroups k | h, 1 < k <= h < n)
     when every class outside the order-h subgroup H is a union of cosets of
@@ -164,31 +162,28 @@ def enumerate_rings(n: int) -> EnumerationResult:
     the core of S, which the memoized result for h holds. A ring no wedge
     built is indecomposable, as the pairing is complete, and is its own core.
     """
-    n = _modulus(n)
-    cached = _CACHE.get(n)
-    if cached is not None:
-        return cached
-
-    found: dict[SchurPartition, int] = {}  # ring -> family mask
+    if n in _CACHE:
+        return _CACHE[n]
+    masks: dict[SchurPartition, int] = {}
     cores: dict[SchurPartition, SchurPartition] = {}
-
-    def add(ring: SchurPartition, bit: int) -> None:
-        found[ring] = found.get(ring, 0) | bit
-
     for ring, bit in _base_rings(n):
-        add(ring, bit)
+        masks[ring] = masks.get(ring, 0) | bit
     for section, s, core, ts in _pairs(n):
         for t in ts:
             ring = wedge_product(s, t, section, n)
-            add(ring, 8)
+            masks[ring] = masks.get(ring, 0) | 8
             cores[ring] = core
+    _CACHE[n] = {r: (m, cores[r] if r in cores else wedge_core(r)) for r, m in masks.items()}
+    return _CACHE[n]
 
-    rings = tuple(sorted(found, key=SchurPartition.sort_key))
-    tags = tuple(_TAG_SETS[found[r]] for r in rings)
-    ring_cores = tuple(cores[r] if r in cores else wedge_core(r) for r in rings)
-    result = EnumerationResult(n, rings, tags, _sorted_census(Counter(ring_cores)), ring_cores)
-    _CACHE[n] = result
-    return result
+
+def enumerate_rings(n: int) -> EnumerationResult:
+    """Enumerate every Schur ring over Z_n: its build record (_build), sorted on each call."""
+    n = _modulus(n)
+    record = _build(n)
+    rings = tuple(sorted(record, key=SchurPartition.sort_key))
+    tags = tuple(_TAG_SETS[record[r][0]] for r in rings)
+    return EnumerationResult(n, rings, tags, _sorted_census(Counter(c for _, c in record.values())))
 
 
 def _rivals(n: int) -> dict[tuple[int, int], list]:
@@ -204,11 +199,11 @@ def _rivals(n: int) -> dict[tuple[int, int], list]:
     (2) j | k, or k | m and T splits along (lcm(j, k)/k, m/k): if K <= M, a
         class outside H and M is a union of J-cosets iff its image, a class
         of T outside M/K, is one of (J + K)/K-cosets, as the images of the
-        classes of (1) are; if not, M <= H (enumerate_rings) and T would
+        classes of (1) are; if not, M <= H (_build) and T would
         split along ((J + K)/K, H/K), against the right filter.
     Two kept sections of R have distinct k, lcm(h, h') = n and lcm(k, k') < n
     (a class outside H and H' is a union of (K + K')-cosets, so not all of
-    Z_n), so K <= H' and K' <= H (enumerate_rings). A split (k', h') is kept
+    Z_n), so K <= H' and K' <= H (_build). A split (k', h') is kept
     iff R splits along no (k', h'') with h'' | h', h'' < h' (R on Z_h' does
     iff R does) and no (k'', h'') with k' | k'' != k', h' | h''. A pair counts
     iff no rival, (k', h') as above with k' < k, is kept for R: each ring

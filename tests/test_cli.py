@@ -197,6 +197,32 @@ def test_oracle_limit_env_is_ignored(capsys, monkeypatch):
         assert code == 2 and "exceeds the oracle limit" in err, raw
 
 
+def test_formula_and_table_bounds_are_usage_errors(capsys, monkeypatch):
+    from schur.cli import MAX_FORMULA_N, MAX_TABLE_N
+
+    def never(*args, **kwargs):
+        raise AssertionError("factoring started before the bound was checked")
+
+    # past each bound, trial division would run for seconds: refused before any factoring
+    for name in ("is_prime", "semiprime_factors", "four_p_factor"):
+        monkeypatch.setattr(f"schur.cli.{name}", never)
+    for argv, message in (
+        (("count", str(MAX_FORMULA_N + 1), "--method", "formula"), "closed-form bound"),
+        (("count", "9999999999999937", "--method", "formula"), "closed-form bound"),
+        (("table", "semiprime", "--max", str(MAX_TABLE_N + 1)), "table bound"),
+        (("table", "fourp", "--max", "400000"), "table bound"),
+    ):
+        code, out, err = run(capsys, *argv)
+        bound = MAX_FORMULA_N if argv[0] == "count" else MAX_TABLE_N
+        assert code == 2 and out == "" and f"exceeds the {message} {bound}" in err, argv
+    # just under each bound it still answers: the largest prime below 10**12, the full table
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "count", "999999999989", "--method", "formula")
+    assert code == 0 and out == "Omega(999999999989) = 24 [formula]\n"
+    code, out, _ = run(capsys, "table", "semiprime", "--max", str(MAX_TABLE_N))
+    assert code == 0 and out.endswith("49983    241\n")
+
+
 def test_search_bound_is_usage_error(capsys, monkeypatch):
     from schur.brute_force import MAX_SEARCH_N
 
@@ -237,7 +263,7 @@ def test_modulus_bound_is_usage_error(capsys, monkeypatch):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", argv
             assert f"exceeds the enumeration bound {MAX_ENUMERATED_N}" in err, argv
-    # the bound itself is accepted, and the closed form takes any n
+    # the bound itself is accepted, and the closed form takes n past it
     monkeypatch.setattr("schur.cli.ring_count", lambda n: -1)
     code, out, _ = run(capsys, "count", str(MAX_ENUMERATED_N))
     assert code == 0 and out == f"Omega({MAX_ENUMERATED_N}) = -1 [enumerate]\n"

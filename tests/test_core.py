@@ -526,10 +526,12 @@ def test_labels_are_bytes_of_the_width_n_needs(n):
         assert is_schur_partition(p) == (check_schur_axioms(p) is None)
         find_wedge_section(p)  # caches the S-subgroups and sections; classes cached the key
         # the labels are held once, as bytes; a view over them is made on each access
-        assert not any(isinstance(v, memoryview) for v in vars(p).values())
+        assert not any(isinstance(getattr(p, s), memoryview) for s in p.__slots__)
+        # the lazy data live in slots: no instance dict, and other names stay missing
+        assert not hasattr(p, "__dict__") and not hasattr(p, "_make_nothing")
         for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
             assert q == p and hash(q) == hash(p) and q.labels == labels
-            assert not any(isinstance(v, memoryview) for v in vars(q).values())
+            assert not any(isinstance(getattr(q, s), memoryview) for s in q.__slots__)
     # restriction and quotient leave the width n needs, down to one byte at order <= 256
     for d in divisors(n):
         assert restrict(discrete_ring(n), d) == discrete_ring(d)

@@ -74,13 +74,16 @@ def test_wedge_tag_equals_decomposability():
 
 
 def test_cores_read_off_the_build_match_wedge_core():
-    # the census takes a wedge's core from its left factor's memoized core
+    # the census takes a wedge's core from its left factor's build record
+    from schur import enumeration
     from schur.constructions import wedge_core
 
     for n in range(1, 49):
         result = enumerate_rings(n)
-        assert len(result._cores) == result.omega
-        for ring, core in zip(result.rings, result._cores):
+        record = enumeration._CACHE[n]
+        assert len(record) == result.omega and set(record) == set(result.rings)
+        assert [enumeration._TAG_SETS[record[r][0]] for r in result.rings] == list(result.tags)
+        for ring, (_, core) in record.items():
             assert core == wedge_core(ring), (n, ring)
 
 
@@ -312,13 +315,17 @@ def test_canonical_sections_cut_wedge_builds(monkeypatch):
 
 
 @pytest.mark.slow
-def test_cold_enumeration_at_144_stays_small():
+@pytest.mark.parametrize(
+    "check", ["enumerate_rings(144).omega == 21451", "ring_count(240) == 107165"]
+)
+def test_cold_enumeration_at_144_stays_small(check):
     # one byte per label and one cached sort key per ring, no class tuples:
-    # about 33 MiB peak RSS, where tuple labels and cached classes took 110
+    # about 31 MiB peak RSS, where tuple labels and cached classes took 110;
+    # the count at 240 holds the build records of its proper divisors alone
     script = (
         "import resource, sys\n"
-        "from schur.enumeration import enumerate_rings\n"
-        "assert enumerate_rings(144).omega == 21451\n"
+        "from schur.enumeration import enumerate_rings, ring_count\n"
+        f"assert {check}\n"
         "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(peak / 2**20 if sys.platform == 'darwin' else peak / 2**10)\n"
     )
@@ -335,8 +342,8 @@ def test_cold_enumeration_at_144_stays_small():
 
 
 def check_count_path_to(top, monkeypatch):
-    # one shared memo, n ascending: the count path reads its proper divisors
-    # from the memo and counts n itself, before enumerate_rings builds n
+    # one shared memo, n ascending: the count path reads its proper divisors'
+    # build records and counts n itself, before enumerate_rings builds n
     from schur import enumeration
 
     monkeypatch.setattr(enumeration, "_CACHE", {})
@@ -384,19 +391,18 @@ def test_count_path_builds_no_wedge_over_n(monkeypatch):
         assert ring_count(n) == omega
         assert 0 < indecomposable_count(n) < omega
         assert n not in calls and n not in enumeration._CACHE
-        # counting sorts nothing: no ring over Z_n gets a sort key
-        assert keyed.count(n) == 0
+        # counting sorts nothing: no ring of any modulus gets a sort key
+        assert keyed == []
     assert calls  # the proper divisors were built as before
 
 
 def test_count_path_ignores_the_memo_and_checks_its_input(monkeypatch):
     from schur import enumeration
-    from schur.enumeration import EnumerationResult
 
     monkeypatch.setattr(enumeration, "_CACHE", {})
     cold = list(enumerate_rings(12).core_census)
-    # a wrong memo entry for n itself is neither read nor replaced by the count path
-    planted = EnumerationResult(12, (), (), ((trivial_ring(5), 7),), ())
+    # a wrong build record for n itself is neither read nor replaced by the count path
+    planted = {trivial_ring(12): (1, trivial_ring(5))}
     enumeration._CACHE[12] = planted
     memo = dict(enumeration._CACHE)
     assert ring_count(12) == 32

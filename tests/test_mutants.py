@@ -3,10 +3,12 @@ requires the named tests, run on that copy in a child process, to fail.
 
 Each entry is (module under src/schur, the exact line, its replacement, the
 reason it is wrong, test file, -k expression, the number of tests that must fail).
+The child pytest runs with a timeout and a capped address space.
 """
 
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -28,7 +30,31 @@ MUTANTS = [
         "wide_rows",
         1,
     ),
+    (
+        "core.py",
+        "    return sig if list(map(sig.__getitem__, firsts)) == sig else None",
+        "    return sig",
+        "the axiom-3 kernel accepts a signature that is not constant on a class",
+        "tests/test_core.py",
+        "axiom_three_failure",
+        1,
+    ),
+    (
+        "enumeration.py",
+        "            if hk in s_subgroups(t) and all(m % hk for _, m in t._split_sections):",
+        "            if hk in s_subgroups(t):",
+        "the right factors of a wedge are no longer cut to canonical sections",
+        "tests/test_enumeration.py",
+        "canonical_sections_cut_wedge_builds",
+        1,
+    ),
 ]
+
+ADDRESS_SPACE = 2 << 30  # bytes the child may map: a runaway mutant fails, not the machine
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
 @pytest.mark.parametrize("module, line, mutant, reason, tests, select, failures", MUTANTS)
@@ -52,6 +78,7 @@ def test_mutant_is_killed(tmp_path, module, line, mutant, reason, tests, select,
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", tests, "-k", select],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+        preexec_fn=_limit_address_space,
     )
     summary = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else out.stderr
     if out.returncode != 1 or not re.match(rf"{failures} failed\b", summary) or "passed" in summary:
