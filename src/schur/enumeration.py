@@ -2,10 +2,11 @@
 
 Every Schur ring over a cyclic group is trivial, automorphic, a direct
 product, or a wedge product. _build makes all four families recursively over
-divisors, one memoized record per modulus, deduplicating on the canonical
-partition, not by counting; enumerate_rings sorts that record, an independent
-check on the closed forms. ring_count, core_census and indecomposable_count
-count with no wedge over Z_n built; tests pin them to it for every n <= 240.
+divisors, one memoized record per modulus: each wedge once, from its one pair
+in _pairs, with a dict on the canonical partition merging only rings that two
+families produce. enumerate_rings sorts that record, an independent check on
+the closed forms. ring_count, core_census and indecomposable_count count the
+same pairs with no wedge over Z_n built; tests pin them to it for n <= 240.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def _base_rings(n: int, unsplit_factors: bool = False) -> Iterator[tuple[SchurPa
 
 
 def _pairs(n: int) -> Iterator[tuple[Section, SchurPartition, SchurPartition, list]]:
-    """(section, S, core of S, the Ts it matches) per kept S, by _build's filters."""
+    """(section, S, core of S, its Ts) per kept S: each decomposable ring's one pair (_rivals)."""
+    rivals = _rivals(n)
     for k, h in _proper_sections(n):
         hk = h // k
         rights: dict[SchurPartition, list[SchurPartition]] = {}
@@ -115,6 +117,16 @@ def _pairs(n: int) -> Iterator[tuple[Section, SchurPartition, SchurPartition, li
         for s, (_, core) in _build(h).items():
             if k in s_subgroups(s) and all(j != k for j, _ in s._split_sections):
                 ts = rights.get(_quotient(s, k))
+                if ts and rivals[k, h]:
+                    fs = frozenset(s._subgroup_orders + s._split_sections)
+                    for s_test, t_test, stops in rivals[k, h]:
+                        if fs >= s_test:
+                            t_stops = [t2 for s2, t2 in stops if fs >= s2]
+                            ts = [
+                                t for t in ts
+                                for ft in [frozenset(t._subgroup_orders + t._split_sections)]
+                                if not ft >= t_test or any(ft >= t2 for t2 in t_stops)
+                            ]
                 if ts:
                     yield section, s, core, ts
 
@@ -146,9 +158,7 @@ def _build(n: int) -> dict[SchurPartition, tuple[int, SchurPartition]]:
     (k', h') with k | k' != k and h | h'. For a decomposable R, take k
     maximal under divisibility over all its split sections and then the least
     h for that k, by (b): both filters keep it, so rings and tags are as with
-    no filter. Two kept sections of one R have distinct k by (b), and then
-    (c) breaks the right filter of one of them unless lcm(h1, h2) = n: R is
-    built twice only when two of its split sections join only at h = n.
+    no filter; _pairs keeps only R's canonical pair (_rivals): R is built once.
 
     The core census is read off the builds. If R splits along (k, h) and L is
     an S-subgroup, then L <= H, or K <= L and R on Z_L splits along
@@ -205,12 +215,12 @@ def _rivals(n: int) -> dict[tuple[int, int], list]:
     (a class outside H and H' is a union of (K + K')-cosets, so not all of
     Z_n), so K <= H' and K' <= H (_build). A split (k', h') is kept
     iff R splits along no (k', h'') with h'' | h', h'' < h' (R on Z_h' does
-    iff R does) and no (k'', h'') with k' | k'' != k', h' | h''. A pair counts
-    iff no rival, (k', h') as above with k' < k, is kept for R: each ring
-    counts once, along its kept section of least k. Per section, each rival's
-    (S test, T test, stop tests): the facts (S-subgroup orders, split
-    sections) S and T need for R to split along it, and along each section
-    that would stop it being kept; 0 fails.
+    iff R does) and no (k'', h'') with k' | k'' != k', h' | h''. _pairs keeps
+    a pair iff no rival, (k', h') as above with k' < k, is kept for R: each
+    ring is paired once, along its canonical section, the kept one of least
+    k. Per section, each rival's (S test, T test, stop tests): the facts
+    (S-subgroup orders, split sections) S and T need for R to split along it,
+    and along each section that would stop it being kept; 0 fails.
     """
     sections = _proper_sections(n)
     out = {}
@@ -237,31 +247,15 @@ def _rivals(n: int) -> dict[tuple[int, int], list]:
 def _census(n: int) -> Counter:
     """The core census of Z_n as an unsorted core -> count tally, with no wedge over Z_n built.
 
-    A ring no wedge builds is indecomposable and its own core: the base rings
-    with no split section (_base_rings). Every other ring is built by the
-    complete pairing, so is counted at its left factor's core along its
-    canonical section (_rivals); a wedge is decomposable, so no ring counts
-    twice. It always counts: it neither reads nor writes the memo entry for n,
-    and it builds no sort key for a ring over Z_n.
+    The base rings with no split section are indecomposable, their own cores;
+    every other ring is the wedge of one pair of _pairs, at its left factor's
+    core. It neither reads nor writes the memo entry for n, and it builds no
+    sort key for a ring over Z_n.
     """
     n = _modulus(n)
     census = Counter(r for r in {r for r, _ in _base_rings(n, True)} if not r._split_sections)
-    rivals = _rivals(n)
-    for section, s, core, ts in _pairs(n):
-        fs = frozenset(s._subgroup_orders + s._split_sections)
-        live = [
-            (t_test, [t2 for s2, t2 in stops if fs >= s2])
-            for s_test, t_test, stops in rivals[section.k, section.h]
-            if fs >= s_test
-        ]
-        if not live:
-            census[core] += len(ts)
-            continue
-        for t in ts:
-            ft = frozenset(t._subgroup_orders + t._split_sections)
-            census[core] += not any(
-                ft >= t_test and not any(ft >= t2 for t2 in stops) for t_test, stops in live
-            )
+    for _, _, core, ts in _pairs(n):
+        census[core] += len(ts)
     return census
 
 

@@ -275,13 +275,21 @@ def _enumerate_with_k_maximal_for_h(n):
     return _reference_enumeration(n, _keep_left_h_minimal, _keep_right_k_maximal_for_h)
 
 
-def test_canonical_sections_match_unfiltered_pairing():
-    for n in (60, 72):
+def check_unfiltered_pairing_at(moduli):
+    # the build and the count path share the _rivals tie-break of _pairs, so
+    # neither checks it against the other; every S with every T does
+    for n in moduli:
         rings, tags, census = _enumerate_without_wedge_filter(n)
         result = enumerate_rings(n)
-        assert result.rings == rings
-        assert result.tags == tags
-        assert dict(result.core_census) == census
+        assert result.rings == rings, n
+        assert result.tags == tags, n
+        assert dict(result.core_census) == census, n
+
+
+def test_canonical_sections_match_unfiltered_pairing():
+    # the three least n where two kept sections of one ring join only at n,
+    # so the tie-break alone keeps the ring from being built twice
+    check_unfiltered_pairing_at((36, 60, 72))
 
 
 def test_k_maximal_over_all_sections_matches_k_maximal_for_h():
@@ -305,13 +313,14 @@ def test_canonical_sections_cut_wedge_builds(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_CACHE", {})
     monkeypatch.setattr(enumeration, "wedge_product", counted)
-    result = enumerate_rings(48)
-    assert result.omega == 1033
-    # with k maximal over all sections, n = 48 builds each wedge-tagged ring
-    # once at the top level (k maximal for h only built 1,876; the unfiltered
-    # pairing 6,378 wedges in all, sub-moduli included)
-    wedge_tagged = sum("wedge" in t for t in result.tags)
-    assert calls.count(48) == wedge_tagged == 1019
+    # each wedge-tagged ring is built once at the top level: at n = 48 by the
+    # canonical sections alone (k maximal for h only built 1,876; the
+    # unfiltered pairing 6,378 wedges in all, sub-moduli included), at 36 and
+    # 72 by the _rivals tie-break too (without it, 282 and 2,403)
+    for n, omega, wedge_tagged in ((48, 1033, 1019), (36, 284, 276), (72, 2311, 2293)):
+        result = enumerate_rings(n)
+        assert result.omega == omega
+        assert calls.count(n) == sum("wedge" in t for t in result.tags) == wedge_tagged, n
 
 
 @pytest.mark.slow
@@ -385,8 +394,8 @@ def test_count_path_builds_no_wedge_over_n(monkeypatch):
     monkeypatch.setattr(enumeration, "_CACHE", {})
     monkeypatch.setattr(enumeration, "wedge_product", counted)
     monkeypatch.setattr(SchurPartition, "sort_key", counted_key)
-    # a semiprime, a 4p, and n = 48 and 72, where enumerate_rings builds 1,019
-    # wedges over Z_48 and 2,403 for 2,293 wedge-tagged rings over Z_72
+    # a semiprime, a 4p, and n = 48 and 72, where enumerate_rings builds one
+    # wedge per wedge-tagged ring: 1,019 over Z_48 and 2,293 over Z_72
     for n, omega in ((187, count_semiprime(11, 17)), (52, count_4p(13)), (48, 1033), (72, 2311)):
         assert ring_count(n) == omega
         assert 0 < indecomposable_count(n) < omega
@@ -415,3 +424,12 @@ def test_count_path_ignores_the_memo_and_checks_its_input(monkeypatch):
             with pytest.raises(ValueError, match=message):
                 call(bad)
     assert enumeration._CACHE == memo and enumeration._CACHE[12] is planted
+
+
+@pytest.mark.slow
+def test_canonical_sections_match_unfiltered_pairing_to_144():
+    # every other n <= 144 where the tie-break decides; about 16 s, 10 of it at
+    # 144. It stays below the memory guards: on Linux a child's ru_maxrss
+    # starts from the peak of the process that spawned it, and this one peaks
+    # near 94 MiB
+    check_unfiltered_pairing_at((84, 90, 100, 108, 120, 126, 132, 140, 144))

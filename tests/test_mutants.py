@@ -48,6 +48,15 @@ MUTANTS = [
         "canonical_sections_cut_wedge_builds",
         1,
     ),
+    (
+        "enumeration.py",
+        "                if ts and rivals[k, h]:",
+        "                if False:",
+        "a ring with two kept sections is built along both, not along its canonical one",
+        "tests/test_enumeration.py",
+        "canonical_sections_cut_wedge_builds",
+        1,
+    ),
 ]
 
 ADDRESS_SPACE = 2 << 30  # bytes the child may map: a runaway mutant fails, not the machine
