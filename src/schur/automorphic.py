@@ -22,7 +22,6 @@ __all__ = [
     "all_subgroups",
     "orbit_partition",
     "automorphic_rings",
-    "subgroup_lattice_size",
     "aut_subgroup_count",
 ]
 

@@ -24,8 +24,6 @@ __all__ = [
     "s_subgroups",
     "restrict",
     "quotient",
-    "canonical_encode",
-    "canonical_decode",
 ]
 
 
@@ -39,7 +37,7 @@ def _modulus(n: object) -> int:
     return n
 
 
-_MAX_N = (1 << 16) - 1  # a sort key writes n itself in two bytes
+_MAX_N = (1 << 16) - 1  # a wide sort key writes member x as x + 1 in two big-endian bytes
 
 
 def _residue_count(n: int) -> int:
@@ -245,19 +243,6 @@ def _splits_along(labels: Sequence[int], k: int, h: int) -> bool:
         if row[shift:] != row[:-shift]:
             return False
     return True
-
-
-def canonical_encode(p: SchurPartition) -> bytes:
-    """Deterministic byte encoding, injective on partitions."""
-    body = ";".join(",".join(map(str, c)) for c in p.classes)
-    return f"{p.n}|{body}".encode("ascii")
-
-
-def canonical_decode(data: bytes) -> SchurPartition:
-    """Inverse of canonical_encode."""
-    head, _, body = data.decode("ascii").partition("|")
-    sets = [map(int, chunk.split(",")) for chunk in body.split(";")]
-    return SchurPartition.from_sets(int(head), sets)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Reference computations that only the tests use.
 
 _class_product is the class-sum product the axiom checker once worded its
-violations with; the brute-force reference search and the signature-kernel
-test check against it. count_semiprime_split_2j is the overcounting 2**j
+violations with; the reference checker, the brute-force reference search and
+the signature-kernel test check against it. count_semiprime_split_2j is the overcounting 2**j
 variant of the split semiprime form, kept to show that the split form's
 phi(2**j) coefficient matters.
 """

@@ -11,7 +11,6 @@ from schur.automorphic import (
     aut_subgroup_count,
     automorphic_rings,
     orbit_partition,
-    subgroup_lattice_size,
     unit_group,
 )
 from schur.brute_force import brute_force_subgroup_count
@@ -22,6 +21,7 @@ from schur.formulas import (
     factorize,
     is_prime,
     semiprime_factors,
+    subgroup_lattice_size,
     two_adic_split,
 )
 

@@ -2,7 +2,6 @@ import tracemalloc
 
 import pytest
 
-from schur.automorphic import subgroup_lattice_size
 import schur.brute_force
 from schur.brute_force import (
     MAX_SEARCH_N,
@@ -12,7 +11,7 @@ from schur.brute_force import (
 from schur.constructions import discrete_ring, trivial_ring, wedge_product, Section
 from schur.core import SchurPartition, check_schur_axioms, is_schur_partition
 from schur.enumeration import enumerate_rings
-from schur.formulas import is_prime
+from schur.formulas import is_prime, subgroup_lattice_size
 
 from _reference import _class_product
 

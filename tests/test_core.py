@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 from array import array
@@ -21,7 +22,6 @@ from schur.core import (
     SchurPartition,
     _signature,
     _slot_size,
-    canonical_encode,
     check_schur_axioms,
     is_schur_partition,
     quotient,
@@ -86,28 +86,7 @@ def _reference_check_schur_axioms(p):
     sizes = [len(c) for c in classes]
     for i in range(len(classes)):
         for j in range(i, len(classes)):
-            acc = {}
-            for a in classes[i]:
-                for b in classes[j]:
-                    g = (a + b) % n
-                    acc[g] = acc.get(g, 0) + 1
-            hits = {}
-            bad = -1
-            for g, v in acc.items():
-                cid = labels[g]
-                rec = hits.get(cid)
-                if rec is None:
-                    hits[cid] = [v, 1]
-                elif rec[0] != v:
-                    bad = cid
-                    break
-                else:
-                    rec[1] += 1
-            if bad < 0:
-                for cid, (v, cnt) in hits.items():
-                    if cnt != sizes[cid]:
-                        bad = cid
-                        break
+            _, bad = _class_product(classes[i], classes[j], n, labels, sizes)
             if bad >= 0:
                 return AxiomViolation(
                     3,
@@ -439,23 +418,27 @@ def test_restrict_and_quotient_preserve_schur():
                 assert is_schur_partition(quotient(ring, d))
 
 
-def test_canonical_encode_injective_and_stable():
+def test_rings_of_z12_are_distinct_as_partitions_json_and_sort_keys():
     from schur.enumeration import enumerate_rings
 
     rings = enumerate_rings(12).rings
-    codes = {canonical_encode(r) for r in rings}
-    assert len(codes) == len(rings)
+    assert len(rings) == 32
+    assert len(set(rings)) == 32
+    assert len({json.dumps(r.to_json_dict()) for r in rings}) == 32
+    assert len({r.sort_key() for r in rings}) == 32
     a = SchurPartition.from_sets(6, [{0}, {3}, {1, 2, 4, 5}])
     b = SchurPartition.from_sets(6, [{2, 1, 5, 4}, {3}, {0}])
-    assert canonical_encode(a) == canonical_encode(b)
+    assert a == b and a.to_json_dict() == b.to_json_dict() and a.sort_key() == b.sort_key()
 
 
-def test_canonical_encode_round_trip():
-    from schur.core import canonical_decode
+def test_json_round_trip_and_fast_writer_on_narrow_and_wide_rings():
     from schur.enumeration import enumerate_rings
 
-    for ring in enumerate_rings(12).rings:
-        assert canonical_decode(canonical_encode(ring)) == ring
+    wedge = wedge_product(discrete_ring(12), discrete_ring(150), Section(2, 12), 300)
+    rings = [*enumerate_rings(12).rings, discrete_ring(300), trivial_ring(300), wedge]
+    for ring in rings:
+        assert SchurPartition.from_json_dict(ring.to_json_dict()) == ring
+        assert ring._json() == json.dumps(ring.to_json_dict(), separators=(",", ":"))
 
 
 def test_json_round_trip():

@@ -10,7 +10,7 @@ from schur.automorphic import aut_subgroup_count, orbit_partition, unit_group, U
 from schur.brute_force import brute_force_schur_rings
 from schur.cli import _json_pieces
 from schur.constructions import discrete_ring, find_wedge_section, trivial_ring
-from schur.core import canonical_encode, is_schur_partition
+from schur.core import is_schur_partition
 from schur.enumeration import (
     core_census,
     enumerate_rings,
@@ -38,9 +38,9 @@ def test_every_enumerated_ring_is_schur():
 
 def test_rings_are_distinct_and_sorted():
     result = enumerate_rings(12)
-    codes = [canonical_encode(r) for r in result.rings]
-    assert len(set(codes)) == len(codes)
+    assert len(set(result.rings)) == len(result.rings)
     keys = [r.sort_key() for r in result.rings]
+    assert len(set(keys)) == len(keys)
     assert keys == sorted(keys)
 
 
@@ -323,6 +323,34 @@ def test_canonical_sections_cut_wedge_builds(monkeypatch):
         assert calls.count(n) == sum("wedge" in t for t in result.tags) == wedge_tagged, n
 
 
+# the child's own peak RSS in MiB: on Linux ru_maxrss carries over the peak of
+# the process that spawned the child, so read VmHWM there; elsewhere read
+# ru_maxrss (bytes on darwin, KiB otherwise)
+PRINT_PEAK_MIB = (
+    "import os, resource, sys\n"
+    "if os.path.exists('/proc/self/status'):\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        peak = next(int(s.split()[1]) for s in status if s.startswith('VmHWM:')) / 2**10\n"
+    "else:\n"
+    "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "    peak /= 2**20 if sys.platform == 'darwin' else 2**10\n"
+    "print(peak)\n"
+)
+
+
+def child_peak_mib(script):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script + PRINT_PEAK_MIB],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    return float(out.stdout)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "check", ["enumerate_rings(144).omega == 21451", "ring_count(240) == 107165"]
@@ -331,23 +359,16 @@ def test_cold_enumeration_at_144_stays_small(check):
     # one byte per label and one cached sort key per ring, no class tuples:
     # about 31 MiB peak RSS, where tuple labels and cached classes took 110;
     # the count at 240 holds the build records of its proper divisors alone
-    script = (
-        "import resource, sys\n"
-        "from schur.enumeration import enumerate_rings, ring_count\n"
-        f"assert {check}\n"
-        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(peak / 2**20 if sys.platform == 'darwin' else peak / 2**10)\n"
+    peak = child_peak_mib(
+        f"from schur.enumeration import enumerate_rings, ring_count\nassert {check}\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=300,
-    )
-    assert float(out.stdout) <= 50, out.stdout
+    assert peak <= 50, peak
+
+
+@pytest.mark.slow
+def test_child_peak_reader_sees_a_real_peak():
+    # the guard's reader still catches a child that touches 64 MiB itself
+    assert child_peak_mib("block = bytearray(b'\\1') * (64 << 20)\n") >= 64
 
 
 def check_count_path_to(top, monkeypatch):
@@ -429,7 +450,6 @@ def test_count_path_ignores_the_memo_and_checks_its_input(monkeypatch):
 @pytest.mark.slow
 def test_canonical_sections_match_unfiltered_pairing_to_144():
     # every other n <= 144 where the tie-break decides; about 16 s, 10 of it at
-    # 144. It stays below the memory guards: on Linux a child's ru_maxrss
-    # starts from the peak of the process that spawned it, and this one peaks
-    # near 94 MiB
+    # 144. It lifts pytest to about 94 MiB, which the memory guards' children do
+    # not inherit, as they read their own VmHWM
     check_unfiltered_pairing_at((84, 90, 100, 108, 120, 126, 132, 140, 144))

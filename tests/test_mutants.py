@@ -57,6 +57,51 @@ MUTANTS = [
         "canonical_sections_cut_wedge_builds",
         1,
     ),
+    (
+        "core.py",
+        "        fixed = [c for c in todo if stars[c] == c]",
+        "        fixed = todo[:]",
+        "the one-word checker skips the largest class even when it is not its own star",
+        "tests/test_core.py",
+        "checker_matches_reference_on_every_partition",
+        1,
+    ),
+    (
+        "automorphic.py",
+        "        done.update(powers[j] for j in range(1, m) if gcd(j, m) == 1)",
+        "        done.update(powers)",
+        "every power of g is taken for a generator of <g>, so smaller cyclic subgroups are lost",
+        "tests/test_brute_force.py",
+        "subgroup_count_examples",
+        1,
+    ),
+    (
+        "automorphic.py",
+        "            if a := g // s % m:",
+        "            if a := g % m:",
+        "an element's coordinate on an axis is read without the axis's stride",
+        "tests/test_automorphic.py",
+        "all_subgroups_counts",
+        1,
+    ),
+    (
+        "formulas.py",
+        "            local = [((p - 1) * q // p, g + p if pow(g, p - 1, p * p) == 1 else g)]",
+        "            local = [((p - 1) * q // p, g)]",
+        "a primitive root mod p that is not one mod p^2 is not lifted to g + p",
+        "tests/test_automorphic.py",
+        "lift_a_primitive_root",
+        1,
+    ),
+    (
+        "brute_force.py",
+        "                if moved != members and not moved.isdisjoint(members):",
+        "                if moved != members:",
+        "the oracle's closure grows by every unit image, not only by those that meet the class",
+        "tests/test_brute_force.py",
+        "rings_over_z4",
+        1,
+    ),
 ]
 
 ADDRESS_SPACE = 2 << 30  # bytes the child may map: a runaway mutant fails, not the machine

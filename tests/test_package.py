@@ -35,8 +35,6 @@ def test_package_exports_are_pinned():
         "automorphic_rings",
         "brute_force_schur_rings",
         "brute_force_subgroup_count",
-        "canonical_decode",
-        "canonical_encode",
         "check_schur_axioms",
         "core_census",
         "count_2p",
