@@ -66,14 +66,16 @@ def _subgroup_lattice(orders: Sequence[int]) -> list[int]:
     """Every subgroup of Z_{m1} x ... x Z_{mt}, each exactly once, as a bitmask.
 
     Bit i is the element with mixed-radix index i, the last axis fastest.
-    Seeds with the distinct cyclic subgroups <g>, then walks the growing list
-    and joins each subgroup once with each cyclic one. Every subgroup is a
-    join C1 v ... v Ck of cyclic subgroups, and each partial join is reached
-    from the one before, so the list ends up holding all of them, whatever
-    the rank. A v <g> is the union of the cosets g^j A, walked until
-    g^j A = A; translating a mask by g takes two masked shifts per axis g
-    moves (the coordinates that wrap go down), so a join makes no
-    per-element calls.
+    Walks a growing list from {0}, joining a subgroup A with a cyclic <g> only
+    along a prime-index step: g is not in A but q*g is, for a prime q | ord(g).
+    That reaches every subgroup, whatever the rank: for B > A, B/A has an
+    element of prime order q (Cauchy), and A v <g> for any lift g has index q
+    in it and lies in B, so induction from {0} climbs to B. Each cyclic keeps
+    the mask below of its q*g over every such q; a lift of prime-power order
+    always exists (the q'-part of a lift lies in A), so the least q alone
+    would do. A v <g> is the union of the q cosets j*g + A; translating a
+    mask by g takes two masked shifts per axis g moves (the coordinates that
+    wrap go down), so a join makes no per-element calls.
     """
     size = prod(orders)
     full = (1 << size) - 1
@@ -84,9 +86,9 @@ def _subgroup_lattice(orders: Sequence[int]) -> list[int]:
             t = ((t & lo) << up) | ((t & hi) >> down)
         return t
 
-    cyclics: list[tuple[int, list[tuple[int, int, int, int]]]] = []
+    cyclics: list[tuple[int, int, list[tuple[int, int, int, int]]]] = []
     done: set[int] = set()
-    for g in range(size):
+    for g in range(1, size):
         if g in done:
             continue
         moves = []
@@ -101,12 +103,12 @@ def _subgroup_lattice(orders: Sequence[int]) -> list[int]:
         m = len(powers)
         # g^j generates <g> exactly when gcd(j, m) = 1
         done.update(powers[j] for j in range(1, m) if gcd(j, m) == 1)
-        cyclics.append((sum(1 << x for x in powers), moves))
-    walk = [c for c, _ in cyclics]
-    found = set(walk)
+        below = sum(1 << powers[q % m] for q, _ in factorize(m))
+        cyclics.append((1 << g, below, moves))
+    walk, found = [1], {1}
     for a in walk:
-        for c, moves in cyclics:
-            if not c & ~a or not a & ~c:
+        for g, below, moves in cyclics:
+            if a & g or not a & below:
                 continue
             joined = t = a
             while (t := translate(t, moves)) != a:

@@ -171,9 +171,9 @@ def brute_force_subgroup_count(r: int, k: int, ell: int) -> int:
 
     Lists every subgroup of the group explicitly, as a bitmask over the
     elements (a, b) at index a*r^ell + b, with the same lattice routine that
-    lists the subgroups of the unit group: the cyclic subgroups, closed under
-    join with a cyclic subgroup. It uses no closed form, so it checks the
-    lattice-size formula independently. Group order is capped at 1024.
+    lists the subgroups of the unit group: every subgroup reached from {0} by
+    prime-index joins with a cyclic subgroup. It uses no closed form, so it
+    checks the lattice-size formula independently. Group order is capped at 1024.
     """
     r, k, ell = map(_integer, (r, k, ell))
     if k < 0 or ell < 0:

@@ -60,7 +60,8 @@ class EnumerationResult:
         return len(self.rings)
 
 
-# per modulus, its build record: each ring, in build order, to (family mask, wedge core)
+# per modulus, its build record: each ring, in build order, to (family mask, wedge core),
+# one shared tuple per distinct pair
 _CACHE: dict[int, dict[SchurPartition, tuple[int, SchurPartition]]] = {}
 
 
@@ -84,24 +85,27 @@ def _proper_sections(n: int) -> list[tuple[int, int]]:
     ]
 
 
-def _base_rings(n: int, unsplit_factors: bool = False) -> Iterator[tuple[SchurPartition, int]]:
+def _base_rings(n: int, census: bool = False) -> Iterator[tuple[SchurPartition, int]]:
     """The trivial, automorphic and direct rings of Z_n, each with its family bit.
 
-    With unsplit_factors, direct products only of factors that split along no
-    section: if S on Z_a splits along (k, h), S x T splits along (k, hb), as
-    a class outside the order-hb subgroup is C x D with C outside H.
+    With census, direct products only of factors that split along no section,
+    and none of two automorphic factors. If S on Z_a splits along (k, h),
+    S x T splits along (k, hb), as a class outside the order-hb subgroup is
+    C x D with C outside H. Under CRT, orbit(H_a) x orbit(H_b) is
+    orbit(H_a x H_b), an automorphic ring of Z_n already yielded.
     """
     yield trivial_ring(n), 1
     for ring in automorphic_rings(n):
         yield ring, 2
     for a, b in _coprime_splits(n):
         lefts, rights = (
-            [r for r in _build(m) if not (unsplit_factors and r._split_sections)]
+            [(r, f & 2) for r, (f, _) in _build(m).items() if not (census and r._split_sections)]
             for m in (a, b)
         )
-        for s in lefts:
-            for t in rights:
-                yield direct_product(s, t), 4
+        for s, sa in lefts:
+            for t, ta in rights:
+                if not (census and sa and ta):
+                    yield direct_product(s, t), 4
 
 
 def _pairs(n: int) -> Iterator[tuple[Section, SchurPartition, SchurPartition, list]]:
@@ -183,7 +187,12 @@ def _build(n: int) -> dict[SchurPartition, tuple[int, SchurPartition]]:
             ring = wedge_product(s, t, section, n)
             masks[ring] = masks.get(ring, 0) | 8
             cores[ring] = core
-    _CACHE[n] = {r: (m, cores[r] if r in cores else wedge_core(r)) for r, m in masks.items()}
+    shared: dict[tuple[int, SchurPartition], tuple[int, SchurPartition]] = {}
+    _CACHE[n] = {
+        r: shared.setdefault(v, v)
+        for r, m in masks.items()
+        for v in [(m, cores[r] if r in cores else wedge_core(r))]
+    }
     return _CACHE[n]
 
 

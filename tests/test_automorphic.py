@@ -193,26 +193,31 @@ def mask_members(mask):
 
 
 def test_subgroup_lattice_matches_callback_reference():
-    # every oracle shape Z_{r^k} x Z_{r^ell} of order <= 256, compared
-    # subgroup by subgroup; x = a*r^ell + b is the mixed-radix index
+    # every oracle shape Z_{r^k} x Z_{r^ell} of order <= 256, and shapes
+    # that are not p-groups, compared subgroup by subgroup; an element is
+    # its mixed-radix index, the last axis fastest
     shapes = [
-        (r, k, ell)
+        (r**k, r**ell)
         for r in range(2, 257)
         if is_prime(r)
         for k in range(9)
         for ell in range(9)
         if r ** (k + ell) <= 256
     ]
-    for r, k, ell in shapes:
-        a_mod, b_mod = r**k, r**ell
+    shapes += [(6,), (2, 6), (6, 6), (3, 12), (2, 2, 3), (4, 6), (10, 15)]
+    for orders in shapes:
 
         def add(x, y):
-            return ((x // b_mod + y // b_mod) % a_mod) * b_mod + (x + y) % b_mod
+            out, place = 0, 1
+            for m in reversed(orders):
+                out += (x // place + y // place) % m * place
+                place *= m
+            return out
 
-        masks = _subgroup_lattice((a_mod, b_mod))
-        expected = subgroup_lattice_by_callback(range(a_mod * b_mod), add, 0)
-        assert len(masks) == len(set(masks)), (r, k, ell)
-        assert {mask_members(m) for m in masks} == set(expected), (r, k, ell)
+        masks = _subgroup_lattice(orders)
+        expected = subgroup_lattice_by_callback(range(prod(orders)), add, 0)
+        assert len(masks) == len(set(masks)), orders
+        assert {mask_members(m) for m in masks} == set(expected), orders
 
 
 def test_all_subgroups_matches_pair_closure_reference():

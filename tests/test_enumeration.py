@@ -107,6 +107,21 @@ def test_direct_tag_equals_product_reconstruction():
             assert ("direct" in tags) == splittable, (n, ring)
 
 
+def test_products_of_automorphic_rings_are_automorphic():
+    # the lemma behind the count path's skip: under CRT, orbit(H_a) x
+    # orbit(H_b) is orbit(H_a x H_b)
+    from schur.automorphic import automorphic_rings
+    from schur.constructions import direct_product
+    from schur.enumeration import _coprime_splits
+
+    for n in range(2, 201):
+        rings = set(automorphic_rings(n))
+        for a, b in _coprime_splits(n):
+            for s in automorphic_rings(a):
+                for t in automorphic_rings(b):
+                    assert direct_product(s, t) in rings, (n, s, t)
+
+
 def test_known_named_rings_present():
     rings21 = set(enumerate_rings(21).rings)
     five = UnitSubgroup(21, (1, 4, 5, 16, 17, 20))

@@ -102,6 +102,24 @@ MUTANTS = [
         "rings_over_z4",
         1,
     ),
+    (
+        "automorphic.py",
+        "            if a & g or not a & below:",
+        "            if a & g or a & below:",
+        "the walk joins A with <g> only when A holds no q*g, so it takes no prime-index step",
+        "tests/test_automorphic.py",
+        "subgroup_lattice_matches_callback_reference",
+        1,
+    ),
+    (
+        "enumeration.py",
+        "                if not (census and sa and ta):",
+        "                if not (sa and ta):",
+        "the build drops direct products of two automorphic factors, and their direct tags",
+        "tests/test_enumeration.py",
+        "direct_tag_equals_product_reconstruction",
+        1,
+    ),
 ]
 
 ADDRESS_SPACE = 2 << 30  # bytes the child may map: a runaway mutant fails, not the machine
