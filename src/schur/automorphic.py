@@ -7,12 +7,11 @@ rings: each subgroup acts on Z_n and its orbits form the partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import groupby
 from math import gcd, prod
-from typing import Sequence
 
-from schur.core import SchurPartition, _modulus, _residue_count
+from schur.core import SchurPartition, _modulus, _Record, _residue_count
 from schur.formulas import _integer, _unit_axes, factorize, subgroup_lattice_size
 
 __all__ = [
@@ -26,25 +25,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UnitGroup:
+class UnitGroup(_Record):
     """All residues coprime to n, under multiplication mod n."""
 
-    n: int
-    units: tuple[int, ...]
+    __slots__ = ("n", "units")
 
 
-@dataclass(frozen=True)
-class UnitSubgroup:
+class UnitSubgroup(_Record):
     """A multiplicatively closed set of units containing the identity."""
 
-    n: int
-    elements: tuple[int, ...]
+    __slots__ = ("n", "elements")
 
-    def __post_init__(self) -> None:
-        n = _modulus(self.n)
-        elements = tuple(sorted(set(map(_integer, self.elements))))
-        vars(self).update(n=n, elements=elements)
+    def __init__(self, n: int, elements: Iterable[int]) -> None:
+        n = _modulus(n)
+        elements = tuple(sorted(set(map(_integer, elements))))
+        super().__init__(n, elements)
         if 1 % n not in elements:
             raise ValueError("subgroup must contain the identity")
         members = set(elements)
@@ -122,7 +117,8 @@ def _subgroup_lattice(orders: Sequence[int]) -> list[int]:
 def _lattice_subgroup(n: int, elements: tuple[int, ...]) -> UnitSubgroup:
     """UnitSubgroup(n, elements) minus its checks, which all_subgroups meets by construction."""
     h = object.__new__(UnitSubgroup)
-    vars(h).update(n=n, elements=elements)
+    object.__setattr__(h, "n", n)
+    object.__setattr__(h, "elements", elements)
     return h
 
 

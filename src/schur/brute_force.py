@@ -15,8 +15,8 @@ bitmask over its elements, as an oracle for the closed-form lattice size.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd
-from typing import Iterator
 
 from schur.automorphic import _subgroup_lattice
 from schur.core import SchurPartition, _modulus, _signature, _slot_size, check_schur_axioms

@@ -13,9 +13,8 @@ exits 2 before any enumeration.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
 from schur.automorphic import aut_subgroup_count
 from schur.brute_force import DEFAULT_SEARCH_LIMIT, brute_force_schur_rings
@@ -74,8 +73,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _json_pieces(result: EnumerationResult) -> Iterator[str]:
     """The compact `enumerate --json` record, one piece per ring, tag set and census entry."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    tags = {t: encode(sorted(t)) for t in set(result.tags)}  # at most 16 distinct sets
+    # at most 16 distinct sets, of FAMILY_TAGS names: plain ASCII, nothing to escape
+    tags = {t: "[" + ",".join(f'"{name}"' for name in sorted(t)) + "]" for t in set(result.tags)}
     census = (f'{{"core":{c._json()},"order":{c.n},"count":{k}}}' for c, k in result.core_census)
     yield f'{{"n":{result.n},"omega":{result.omega}'
     for name, pieces in [

@@ -9,10 +9,9 @@ i.e. the pushforward of S along K equals the restriction of T to H/K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from schur.core import SchurPartition, _modulus, _residue_count, quotient, restrict
+from schur.core import SchurPartition, _modulus, _Record, _residue_count, quotient, restrict
 from schur.formulas import _integer
 
 __all__ = [
@@ -27,16 +26,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(_Record):
     """A pair of nested subgroups of Z_n, named by their orders k | h."""
 
-    k: int
-    h: int
+    __slots__ = ("k", "h")
 
-    def __post_init__(self) -> None:
-        if _integer(self.k) < 1 or _integer(self.h) < 1 or self.h % self.k != 0:
-            raise ValueError(f"section requires positive k | h, got k={self.k}, h={self.h}")
+    def __init__(self, k: int, h: int) -> None:
+        if _integer(k) < 1 or _integer(h) < 1 or h % k != 0:
+            raise ValueError(f"section requires positive k | h, got k={k}, h={h}")
+        super().__init__(k, h)
 
     def is_proper_in(self, n: int) -> bool:
         return 1 < self.k <= self.h < n and n % self.h == 0

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from schur.formulas import _integer, _unit_axes, divisors
 
@@ -59,7 +58,43 @@ def _grouped(labels: Sequence[int]) -> list[list[int]]:
     return groups
 
 
-@dataclass(frozen=True)
+class _Record:
+    """A frozen record: its fields are its class's __slots__, set by position or keyword.
+
+    Records are equal by __reduce__(), the class and the field values, and hash by the
+    values. Their repr and their refusal to assign or delete are a frozen dataclass's.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self)
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 class SchurPartition:
     """A partition of Z_n, the datum that pins down a Schur ring.
 
@@ -71,14 +106,14 @@ class SchurPartition:
     from_sets, which validates them. The one stored datum is a bytes object
     holding one byte per label when n <= 256, else two in native order;
     labels is that object, or above 256 a memoryview(...).cast("H") over it
-    made on each access. Equality and hashing are the dataclass's, on those
-    bytes; a pickle holds the labels. The sort key, S-subgroup orders and
-    split sections are slots filled on first read, with no __dict__, so every
+    made on each access. Equality and hashing read those bytes alone, and a
+    pickle holds the labels. The sort key, S-subgroup orders and split
+    sections are slots filled on first read, with no __dict__, so every
     partition has one layout. classes is decoded from sort_key(), not stored.
     """
 
     __slots__ = ("_packed", "_key", "_subgroup_orders", "_split_sections")
-    _packed: bytes
+    __setattr__ = __delattr__ = _Record.__setattr__
 
     def __getattr__(self, name: str) -> object:
         # reached when a slot is unset: _make<name> fills it, once
@@ -92,8 +127,8 @@ class SchurPartition:
     def __reduce__(self) -> tuple:
         return SchurPartition, (list(self.labels),)
 
-    def __post_init__(self) -> None:
-        keys = self._packed
+    def __init__(self, _packed: Iterable[object]) -> None:
+        keys = _packed
         if type(keys) in (list, tuple) and 0 < len(keys) <= 256 and type(keys[0]) is int:
             try:  # ints in 0..255 take the renumbering in C
                 keys = bytes(keys)
@@ -108,6 +143,15 @@ class SchurPartition:
         n = _residue_count(len(raw))
         packed = bytes(raw) if n <= 256 else struct.pack(f"{n}H", *raw)  # native order
         object.__setattr__(self, "_packed", packed)
+
+    def __eq__(self, other: object) -> bool:
+        return self._packed == other._packed if type(other) is SchurPartition else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._packed)
+
+    def __repr__(self) -> str:
+        return f"SchurPartition(_packed={self._packed!r})"
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SchurPartition":
@@ -245,12 +289,10 @@ def _splits_along(labels: Sequence[int], k: int, h: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(_Record):
     """First broken Schur axiom: 1 identity class, 2 star closure, 3 products."""
 
-    axiom: int
-    message: str
+    __slots__ = ("axiom", "message")
 
     def __str__(self) -> str:
         return f"axiom {self.axiom}: {self.message}"

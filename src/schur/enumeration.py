@@ -12,9 +12,8 @@ same pairs with no wedge over Z_n built; tests pin them to it for n <= 240.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import gcd, lcm
-from typing import Iterator
 
 from schur.automorphic import automorphic_rings
 from schur.constructions import (
@@ -24,7 +23,7 @@ from schur.constructions import (
     wedge_core,
     wedge_product,
 )
-from schur.core import SchurPartition, _modulus, _quotient, restrict, s_subgroups
+from schur.core import SchurPartition, _modulus, _quotient, _Record, restrict, s_subgroups
 from schur.formulas import divisors
 
 __all__ = [
@@ -41,8 +40,7 @@ FAMILY_TAGS = ("trivial", "automorphic", "direct", "wedge")
 _TAG_SETS = [frozenset(t for i, t in enumerate(FAMILY_TAGS) if m >> i & 1) for m in range(16)]
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(_Record):
     """All Schur rings over Z_n with family tags and the wedge-core census.
 
     rings are canonically sorted and pairwise distinct; tags[i] holds every
@@ -50,10 +48,7 @@ class EnumerationResult:
     wedge core with the number of rings having that core.
     """
 
-    n: int
-    rings: tuple[SchurPartition, ...]
-    tags: tuple[frozenset[str], ...]
-    core_census: tuple[tuple[SchurPartition, int], ...]
+    __slots__ = ("n", "rings", "tags", "core_census")
 
     @property
     def omega(self) -> int:

@@ -85,3 +85,23 @@ def test_import_leaves_array_unloaded():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_dataclasses_inspect_and_typing_unloaded():
+    # the records are plain slotted classes and annotations are never evaluated, so the
+    # package and its CLI start without dataclasses (which pulls in inspect) or typing;
+    # -S keeps site-packages hooks from importing them first
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys, schur, schur.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
