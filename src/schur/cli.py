@@ -1,20 +1,22 @@
 """Command-line interface: count, enumerate, table, verify.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error. All output is
-deterministic; diagnostics go to stderr. n > MAX_ENUMERATED_N is a usage error
-but for `count --method formula`, and so is `table --verify` with --max above
-it; `count --method formula` refuses n > MAX_FORMULA_N and `table` without
---verify a --max above MAX_TABLE_N. The brute-force ring oracle runs for
-n <= DEFAULT_SEARCH_LIMIT (14), and past it only under `verify --deep`;
-`verify` runs it first, so a search that brute_force_schur_rings refuses
-exits 2 before any enumeration.
+`schur <command> <n or family> [--opt value | --opt=value | --switch]...`, options in any order
+and never abbreviated, `--` no separator; `-h`/`--help` anywhere prints the help and exits 0.
+
+Exit codes: 0 success, 1 verification mismatch, 2 usage error. All output is deterministic;
+diagnostics go to stderr. n > MAX_ENUMERATED_N is a usage error but for `count --method
+formula`, and so is `table --verify` with --max above it; `count --method formula` refuses
+n > MAX_FORMULA_N and `table` without --verify a --max above MAX_TABLE_N. The brute-force
+ring oracle runs for n <= DEFAULT_SEARCH_LIMIT (14), and past it only under `verify --deep`;
+`verify` runs it first, so a search that brute_force_schur_rings refuses exits 2 before any
+enumeration.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 from schur.automorphic import aut_subgroup_count
 from schur.brute_force import DEFAULT_SEARCH_LIMIT, brute_force_schur_rings
@@ -48,7 +50,7 @@ def _formula_count(n: int) -> int | None:
     return None
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     n = args.n
     method = args.method
     if method == "formula":
@@ -88,7 +90,7 @@ def _json_pieces(result: EnumerationResult) -> Iterator[str]:
     yield "}\n"
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     result = enumerate_rings(args.n)
     if args.json:
         sys.stdout.writelines(_json_pieces(result))
@@ -121,7 +123,7 @@ def _table_rows(family: str, max_n: int) -> Iterator[tuple[int, int]]:
                 yield n, count_4p(p)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     bound = MAX_ENUMERATED_N if args.verify else MAX_TABLE_N
     if args.max > bound:
         name = "enumeration bound" if args.verify else "table bound"
@@ -141,7 +143,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 1 if mismatches else 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     n, limit, oracle = args.n, DEFAULT_SEARCH_LIMIT, None
     if n <= limit or args.deep:
         try:
@@ -203,66 +205,87 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="schur",
-        description="Construct, verify, and enumerate Schur rings over cyclic groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command: (help, handler, positional, its kind, options); an option: (kind, default, help),
+# where a kind is int (read with int()), bool (a switch) or a tuple of choices
+_COMMANDS = {
+    "count": ("print the number of Schur rings over Z_n", _cmd_count, "n", int, {"--method": (
+        ("formula", "enumerate", "oracle"), "enumerate",
+        "formula needs n prime, semiprime, or 4p; oracle needs small n")}),
+    "enumerate": ("list every Schur ring over Z_n", _cmd_enumerate, "n", int, {
+        "--json": (bool, False, "emit the full JSON record"),
+        "--text": (bool, False, "one brace list per ring (default)"),
+        "--tags": (bool, False, "append family tags to each ring"),
+        "--cores": (bool, False, "append the wedge-core census")}),
+    "table": ("closed-form count tables", _cmd_table, "family", ("semiprime", "fourp"), {
+        "--max": (int, 100, "the largest n tabulated"),
+        "--verify": (bool, False, "re-derive each row by enumeration")}),
+    "verify": ("run all applicable cross-checks for n", _cmd_verify, "n", int, {
+        "--deep": (bool, False, "force the brute-force search even past the limit")}),
+}
 
-    p_count = sub.add_parser("count", help="print the number of Schur rings over Z_n")
-    p_count.add_argument("n", type=int)
-    p_count.add_argument(
-        "--method",
-        choices=("formula", "enumerate", "oracle"),
-        default="enumerate",
-        help="formula needs n prime, semiprime, or 4p; oracle needs small n",
-    )
-    p_count.set_defaults(func=_cmd_count)
 
-    p_enum = sub.add_parser("enumerate", help="list every Schur ring over Z_n")
-    p_enum.add_argument("n", type=int)
-    fmt = p_enum.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit the full JSON record")
-    fmt.add_argument("--text", action="store_true", help="one brace list per ring (default)")
-    p_enum.add_argument("--tags", action="store_true", help="append family tags to each ring")
-    p_enum.add_argument("--cores", action="store_true", help="append the wedge-core census")
-    p_enum.set_defaults(func=_cmd_enumerate)
+def _help(command: str) -> str:
+    """The -h/--help text of a command; its first line is the usage."""
+    about, _, name, kind, options = _COMMANDS[command]
+    meta = lambda word, k: word if k is int else "{" + ",".join(k) + "}"  # noqa: E731
+    flags = [o if k is bool else f"{o} {meta(o[2:].upper(), k)}" for o, (k, *_) in options.items()]
+    rows = [f"  {flag}\n      {h}" + ("" if k is bool else f" (default: {d})")
+            for flag, (k, d, h) in zip(flags, options.values())]
+    usage = f"usage: schur {command} [-h] {meta(name, kind)} " + " ".join(f"[{f}]" for f in flags)
+    return "\n".join([usage, "", about, "", "options:", "  -h, --help\n      this help", *rows])
 
-    p_table = sub.add_parser("table", help="closed-form count tables")
-    p_table.add_argument("family", choices=("semiprime", "fourp"))
-    p_table.add_argument("--max", type=int, default=100)
-    p_table.add_argument("--verify", action="store_true", help="re-derive each row by enumeration")
-    p_table.set_defaults(func=_cmd_table)
 
-    p_verify = sub.add_parser("verify", help="run all applicable cross-checks for n")
-    p_verify.add_argument("n", type=int)
-    p_verify.add_argument(
-        "--deep", action="store_true", help="force the brute-force search even past the limit"
-    )
-    p_verify.set_defaults(func=_cmd_verify)
-
-    return parser
+def _parse(command: str, argv: list[str]) -> dict[str, object] | str:
+    """The values of a command's arguments by name, or the message of a usage error."""
+    _, _, name, kind, options = _COMMANDS[command]
+    values, words, rest = {o[2:]: spec[1] for o, spec in options.items()}, [], iter(argv)
+    for arg in rest:
+        option, eq, value = arg.partition("=")
+        switch = options.get(option, (None,))[0] is bool
+        if not arg.startswith("--"):  # `count -5` reads n = -5, which main refuses
+            words.append(arg)
+        elif option not in options or switch and eq:  # `--json=yes` is no option
+            return f"unknown option '{arg}'"
+        elif not (switch or eq) and (value := next(rest, None)) is None:
+            return f"{arg} needs a value"
+        else:
+            values[option[2:]] = switch or value
+    if len(words) != 1:
+        return f"unexpected argument '{words[1]}'" if words else f"missing {name}"
+    values[name] = words[0]
+    for key, k in [(name, kind), *((o[2:], spec[0]) for o, spec in options.items())]:
+        if isinstance(k, tuple) and values[key] not in k:
+            return f"invalid {key} '{values[key]}' (choose from {', '.join(k)})"
+        try:  # as argparse's type=int read it
+            values[key] = int(values[key]) if k is int else values[key]
+        except ValueError:
+            return f"invalid {key} '{values[key]}' (not an integer)"
+    if values.get("json") and values.get("text"):
+        return "--json and --text exclude each other"
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return 2 if exc.code else 0
-    n = getattr(args, "n", None)
-    if n is not None and n < 1:
-        print("error: n must be a positive integer", file=sys.stderr)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    commands = [command] if command else list(_COMMANDS)  # no command: the help of each
+    if "-h" in argv or "--help" in argv:
+        print("\n\n".join(map(_help, commands)))
+        return 0
+    error = f"unknown command '{argv[0]}'" if argv else "missing command"
+    values = _parse(command, argv[1:]) if command else error
+    if isinstance(values, str):
+        usage = [_help(name).split("\n")[0] for name in commands]
+        print(*usage, f"schur: error: {values}", sep="\n", file=sys.stderr)
         return 2
-    formula = getattr(args, "method", None) == "formula"
+    n, formula = values.get("n"), values.get("method") == "formula"
     bound = MAX_FORMULA_N if formula else MAX_ENUMERATED_N
-    if n is not None and n > bound:
+    if n is not None and not 0 < n <= bound:
         name = "closed-form bound" if formula else "enumeration bound"
-        print(f"error: n={n} exceeds the {name} {bound}", file=sys.stderr)
+        error = f"n={n} exceeds the {name} {bound}" if n > 0 else "n must be a positive integer"
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    return args.func(args)
+    return _COMMANDS[command][1](SimpleNamespace(**values))
 
 
 if __name__ == "__main__":

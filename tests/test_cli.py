@@ -179,10 +179,96 @@ def test_output_deterministic(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    assert main(["count", "21", "--method", "nonsense"]) == 2
-    assert main(["bogus"]) == 2
-    code, _, err = run(capsys, "count", "0")
-    assert code == 2 and "positive" in err
+    for n in ("0", "-5"):  # read as ints, then refused by the bound check
+        code, out, err = run(capsys, "count", n)
+        assert code == 2 and out == "" and err == "error: n must be a positive integer\n"
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        ((), "missing command"),
+        (("bogus", "12"), "unknown command 'bogus'"),
+        (("count", "12", "--bogus"), "unknown option '--bogus'"),
+        (("verify", "12", "--de"), "unknown option '--de'"),  # no abbreviations
+        (("count", "--", "12"), "unknown option '--'"),  # no separator
+        (("count", "12", "-x"), "unexpected argument '-x'"),
+        (("enumerate", "--json=12"), "unknown option '--json=12'"),  # a switch takes no value
+        (("count",), "missing n"),
+        (("table", "--max", "20"), "missing family"),
+        (("table", "semiprime", "--max"), "--max needs a value"),
+        (("count", "12", "--method"), "--method needs a value"),
+        (("count", "12", "--method", "nonsense"), "invalid method 'nonsense' (choose from"),
+        (("count", "12", "--method="), "invalid method '' (choose from"),
+        (("table", "primes"), "invalid family 'primes' (choose from semiprime, fourp)"),
+        (("count", "twelve"), "invalid n 'twelve' (not an integer)"),
+        (("verify", "1.5"), "invalid n '1.5' (not an integer)"),
+        (("table", "fourp", "--max=ten"), "invalid max 'ten' (not an integer)"),
+        (("table", "fourp", "--max", "--verify"), "invalid max '--verify' (not an integer)"),
+        (("count", "12", "13"), "unexpected argument '13'"),
+        (("table", "semiprime", "fourp"), "unexpected argument 'fourp'"),
+    ],
+)
+def test_refused_command_lines(capsys, argv, problem):
+    code, out, err = run(capsys, *argv)
+    lines = err.splitlines()
+    assert code == 2 and out == "", argv
+    assert lines[0].startswith("usage: schur ") and lines[-1].startswith(f"schur: error: {problem}")
+
+
+def test_json_and_text_exclude_each_other(capsys):
+    for argv in (("enumerate", "12", "--json", "--text"), ("enumerate", "--text", "12", "--json")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == (
+            "usage: schur enumerate [-h] n [--json] [--text] [--tags] [--cores]\n"
+            "schur: error: --json and --text exclude each other\n"
+        )
+
+
+OPTIONS = {
+    "count": ["n", "--method {formula,enumerate,oracle}", "(default: enumerate)"],
+    "enumerate": ["n", "--json", "--text", "--tags", "--cores"],
+    "table": ["{semiprime,fourp}", "--max MAX", "(default: 100)", "--verify"],
+    "verify": ["n", "--deep"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_command_help_lists_every_option(capsys, command):
+    for flag in ("--help", "-h"):
+        code, out, err = run(capsys, command, flag)
+        assert code == 0 and err == "", flag
+        assert out.startswith(f"usage: schur {command} [-h] "), out
+        assert all(option in out for option in OPTIONS[command] + ["-h, --help"]), out
+        assert run(capsys, command, "12", flag) == (code, out, err)  # wherever it stands
+
+
+def test_top_level_help_lists_every_command(capsys):
+    for flag in ("--help", "-h"):
+        code, out, err = run(capsys, flag)
+        assert code == 0 and err == ""
+        for command, options in OPTIONS.items():
+            assert f"usage: schur {command} [-h] " in out
+            assert all(option in out for option in options)
+
+
+def test_accepted_option_spellings(capsys):
+    # --opt=value is --opt value; options stand before or after the positional
+    assert run(capsys, "table", "semiprime", "--max=200") == run(
+        capsys, "table", "semiprime", "--max", "200"
+    )
+    code, out, _ = run(capsys, "verify", "--deep", "12")
+    assert code == 0 and "PASS oracle" in out
+    assert run(capsys, "verify", "12", "--deep") == (code, out, "")
+    assert run(capsys, "table", "--max=30", "fourp") == run(capsys, "table", "fourp", "--max", "30")
+    code, out, _ = run(capsys, "count", "--method=formula", "21")
+    assert code == 0 and out == "Omega(21) = 27 [formula]\n"
+    # a switch may repeat; a valued option keeps its last value
+    code, out, _ = run(capsys, "count", "21", "--method", "oracle", "--method", "formula")
+    assert code == 0 and out == "Omega(21) = 27 [formula]\n"
+    assert run(capsys, "enumerate", "6", "--tags", "--tags") == run(capsys, "enumerate", "6", "--tags")
+    assert run(capsys, "table", "semiprime", "--max=7", "--max", "6")[1] == "   6      7\n"
 
 
 def test_oracle_limit_env_is_ignored(capsys, monkeypatch):

@@ -120,6 +120,15 @@ MUTANTS = [
         "direct_tag_equals_product_reconstruction",
         1,
     ),
+    (
+        "cli.py",
+        '    if values.get("json") and values.get("text"):',
+        "    if False:",
+        "`enumerate --json --text` runs instead of exiting 2 as a usage error",
+        "tests/test_cli.py",
+        "json_and_text_exclude_each_other",
+        1,
+    ),
 ]
 
 ADDRESS_SPACE = 2 << 30  # bytes the child may map: a runaway mutant fails, not the machine

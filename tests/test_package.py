@@ -105,3 +105,25 @@ def test_import_leaves_dataclasses_inspect_and_typing_unloaded():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_argparse_gettext_or_locale():
+    # the command line is parsed from the module's own table; argparse would load gettext,
+    # and gettext locale, on every `schur` process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import io, sys, contextlib, schur.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = schur.cli.main(['verify', '6'])\n"
+        "assert code == 0 and out.getvalue().endswith('verify 6: PASS\\n'), out.getvalue()\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
